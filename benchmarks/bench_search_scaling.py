@@ -7,9 +7,9 @@ sweep with a hard ``max_candidates`` ceiling.  This bench pits that
 reference implementation (inlined below as the serial oracle) against
 the branch-and-bound search on the Graph500 Xeon workload:
 
-* ``identity`` tests assert the pruned and parallel searches return the
-  serial oracle's optimum **exactly** (same assignment, bit-identical
-  seconds) — these gate CI;
+* ``identity`` tests assert the pruned search returns the serial
+  oracle's optimum **exactly** (same assignment, bit-identical seconds)
+  and the unpruned walk's top-8 on 2^16 — these gate CI;
 * ``scale`` walks a 2^16 space that PR 1's budget refused outright;
 * ``speedup`` asserts the >= 5x wall-clock win (timing-dependent, run
   with continue-on-error in CI).
@@ -140,116 +140,65 @@ def test_pruned_identity_vs_serial_oracle(record, setup, workload):
             default_node=0, pus=XEON_PUS, top_k=1,
         )
     )
-    # workers=4 goes through the dispatcher: its serial probe completes
-    # within the break-even budget on this space, so the request runs
-    # the serial path and parallel-never-loses holds by construction.
-    parallel_s, parallel = _timed(
-        lambda: search_placements(
-            SimEngine(setup.machine), phases, sizes, nodes,
-            default_node=0, pus=XEON_PUS, top_k=1, workers=4,
-        )
-    )
-    # The actual fan-out machinery (shared bound table, work stealing)
-    # is identity-checked via force_parallel, untimed.
-    forced = search_placements(
-        SimEngine(setup.machine), phases, sizes, nodes,
-        default_node=0, pus=XEON_PUS, top_k=1, workers=2,
-        force_parallel=True,
-    )
 
     # Equal optimum: identical best assignment AND bit-identical seconds.
     assert pruned.best.assignment == oracle[0].assignment
     assert pruned.best.seconds == oracle[0].seconds
-    assert parallel.best.assignment == oracle[0].assignment
-    assert parallel.best.seconds == oracle[0].seconds
-    assert forced.best.assignment == oracle[0].assignment
-    assert forced.best.seconds == oracle[0].seconds
-
-    speedup_parallel = serial_s / parallel_s
-    assert speedup_parallel >= 1.0, "parallel request lost to the PR 1 serial path"
 
     _results["graph500_xeon"] = {
         "workload": "graph500 scale 20, per-level phases, nodes (0,1,2,3)",
         "space": pruned.stats.space_size,
         "serial_oracle_ms": round(serial_s * 1e3, 3),
         "pruned_ms": round(pruned_s * 1e3, 3),
-        "parallel_ms": round(parallel_s * 1e3, 3),
         "speedup_pruned": round(serial_s / pruned_s, 2),
-        "speedup_parallel": round(speedup_parallel, 2),
-        "dispatch": parallel.stats.dispatch,
-        "dispatch_reason": parallel.stats.dispatch_reason,
         "leaves_priced": pruned.stats.leaves_priced,
         "bound_pruned": pruned.stats.bound_pruned,
         "best_assignment": pruned.best.as_dict(),
         "best_seconds": pruned.best.seconds,
         "identical_optimum": True,
-        "forced_parallel_identical": True,
     }
     record(
         "search_scaling",
         f"Graph500 scale 20, per-level, 4 nodes -> space {pruned.stats.space_size}\n"
-        f"serial oracle (PR 1 path): {serial_s * 1e3:8.2f} ms\n"
+        f"serial oracle (full sweep): {serial_s * 1e3:7.2f} ms\n"
         f"branch-and-bound (top-1):  {pruned_s * 1e3:8.2f} ms "
         f"({serial_s / pruned_s:.1f}x, {pruned.stats.leaves_priced} leaves priced, "
         f"{pruned.stats.bound_pruned} bound-pruned)\n"
-        f"workers=4 dispatched:      {parallel_s * 1e3:8.2f} ms "
-        f"({parallel.stats.dispatch}: {parallel.stats.dispatch_reason})\n"
-        f"optimum identical across all four: {pruned.best.as_dict()} "
+        f"optimum identical: {pruned.best.as_dict()} "
         f"@ {pruned.best.seconds * 1e3:.4f} ms",
     )
 
 
-def test_parallel_identity_large_space(setup):
-    """Gating: parallel and serial return identical candidates on 2^16."""
+def test_pruned_identity_large_space(setup):
+    """Gating: branch-and-bound keeps the unpruned walk's top-8 on 2^16."""
     phases, sizes = _large_workload()
 
-    serial_s, serial = _timed(
+    pruned_s, pruned = _timed(
         lambda: search_placements(
             SimEngine(setup.machine), phases, sizes, (0, 2),
             default_node=0, pus=XEON_PUS, top_k=8,
         )
     )
-    parallel_s, parallel = _timed(
+    unpruned_s, unpruned = _timed(
         lambda: search_placements(
             SimEngine(setup.machine), phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=8, workers=4,
-        )
-    )
-    forced_s, forced = _timed(
-        lambda: search_placements(
-            SimEngine(setup.machine), phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=8, workers=4,
-            force_parallel=True,
+            default_node=0, pus=XEON_PUS, top_k=8, prune=False,
         ),
         repeats=1,
     )
-    assert parallel.candidates == serial.candidates
-    assert forced.candidates == serial.candidates
-    assert forced.stats.workers == 4
-
-    speedup_parallel = serial_s / parallel_s
-    if parallel.stats.dispatch == "serial":
-        # The dispatcher ran the identical serial code for the parallel
-        # request; any measured delta between the two timings is clock
-        # noise on the same instruction stream, so the structural
-        # never-loses guarantee is the honest number.
-        speedup_parallel = max(speedup_parallel, 1.0)
-    assert speedup_parallel >= 1.0
+    assert pruned.candidates == unpruned.candidates
+    assert unpruned.stats.leaves_priced == 2 ** 16
 
     _results["large_space_2to16"] = {
         "workload": "4 phases x 4 chunk buffers, 2 nodes",
-        "space": serial.stats.space_size,
-        "serial_pruned_ms": round(serial_s * 1e3, 3),
-        "parallel_pruned_ms": round(parallel_s * 1e3, 3),
-        "speedup_parallel": round(speedup_parallel, 2),
-        "dispatch": parallel.stats.dispatch,
-        "dispatch_reason": parallel.stats.dispatch_reason,
-        "forced_parallel_ms": round(forced_s * 1e3, 3),
-        "leaves_priced": serial.stats.leaves_priced,
-        "bound_pruned": serial.stats.bound_pruned,
-        "truncated": serial.stats.truncated,
+        "space": pruned.stats.space_size,
+        "pruned_ms": round(pruned_s * 1e3, 3),
+        "unpruned_ms": round(unpruned_s * 1e3, 3),
+        "speedup_pruned": round(unpruned_s / pruned_s, 2),
+        "leaves_priced": pruned.stats.leaves_priced,
+        "bound_pruned": pruned.stats.bound_pruned,
+        "truncated": pruned.stats.truncated,
         "identical_candidates": True,
-        "forced_parallel_identical": True,
     }
 
 

@@ -315,10 +315,11 @@ def report_search(fresh: dict, base: dict) -> None:
     for workload, fresh_r in fresh.items():
         base_r = base.get(workload, {})
         print(
-            f"search[{workload}]: speedup_parallel "
-            f"{fresh_r.get('speedup_parallel')} "
-            f"(baseline {base_r.get('speedup_parallel')}), "
-            f"dispatch {fresh_r.get('dispatch')!r} (informational)"
+            f"search[{workload}]: speedup_pruned "
+            f"{fresh_r.get('speedup_pruned')} "
+            f"(baseline {base_r.get('speedup_pruned')}), "
+            f"leaves_priced {fresh_r.get('leaves_priced')} "
+            f"(baseline {base_r.get('leaves_priced')}) (informational)"
         )
 
 

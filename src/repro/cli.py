@@ -9,9 +9,8 @@ the point of §IV-A.
 
 ``repro-search`` runs the §V-A placement search oracle over a Graph500
 workload on any preset platform, exposing the search engine's knobs:
-``--top-k`` (bounded best-k heap), ``--workers`` (process fan-out),
-``--budget`` (pricing budget with truncation report), ``--no-prune``
-(disable branch-and-bound).
+``--top-k`` (bounded best-k heap), ``--budget`` (pricing budget with
+truncation report), ``--no-prune`` (disable branch-and-bound).
 
 ``repro-analyze`` exposes the quantitative static analyzer: symbolic
 per-buffer footprints of the registered app kernels, evaluated traffic
@@ -166,12 +165,6 @@ def build_search_parser() -> argparse.ArgumentParser:
         help="keep only the k best placements; 0 keeps every candidate",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes pricing candidates in parallel",
-    )
-    parser.add_argument(
         "--budget",
         type=int,
         default=None,
@@ -218,7 +211,6 @@ def search_main(argv: list[str] | None = None) -> int:
             default_node=nodes[0],
             critical_buffers=critical,
             top_k=args.top_k or None,
-            workers=args.workers,
             max_candidates=args.budget,
             prune=not args.no_prune,
         )

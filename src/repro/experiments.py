@@ -188,7 +188,6 @@ def search(
     scale: int = 20,
     nodes: tuple[int, ...] = (0, 2),
     top_k: int | None = 8,
-    workers: int = 1,
     budget: int | None = None,
     per_level: bool = False,
     hints: str = "none",
@@ -212,7 +211,6 @@ def search(
         default_node=nodes[0],
         pus=_XEON_PUS,
         top_k=top_k,
-        workers=workers,
         max_candidates=budget,
     )
     buffers = [b for b, _ in result.candidates[0].assignment]
@@ -285,12 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         help="keep only the k best placements (0 = keep all)",
     )
     group.add_argument(
-        "--search-workers",
-        type=int,
-        default=1,
-        help="worker processes pricing candidates in parallel",
-    )
-    group.add_argument(
         "--search-budget",
         type=int,
         default=None,
@@ -327,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
                     scale=args.search_scale,
                     nodes=nodes,
                     top_k=args.search_top_k or None,
-                    workers=args.search_workers,
                     budget=args.search_budget,
                     per_level=args.search_per_level,
                     hints=args.search_hints,

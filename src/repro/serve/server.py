@@ -947,12 +947,31 @@ class ServeClient(_VerbMethods):
         )
 
 
+#: Longest request line, in bytes, the stream front end buffers (asyncio's
+#: default stream limit).  A longer line gets a typed ``bad-request`` and
+#: is skipped; the connection keeps serving.
+_LINE_LIMIT = 2 ** 16
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input through the next newline without buffering it whole."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as err:
+            await reader.readexactly(err.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 class StreamServer:
     """NDJSON-over-asyncio-streams front end for out-of-process clients.
 
     Requests on one connection are answered as they complete (clients
     match by ``id``), so a slow migration does not head-of-line-block a
-    quick query from the same tenant.
+    quick query from the same tenant.  Malformed and oversize lines are
+    answered with a typed ``bad-request`` (id -1), never a disconnect.
     """
 
     def __init__(
@@ -969,7 +988,7 @@ class StreamServer:
 
     async def start(self) -> tuple[str, int]:
         self._asyncio_server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=_LINE_LIMIT
         )
         sock = self._asyncio_server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -988,7 +1007,18 @@ class StreamServer:
         tasks: set[asyncio.Task[None]] = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    line = eof.partial  # an unterminated last line, or EOF
+                except asyncio.LimitOverrunError:
+                    await self._reject(
+                        writer,
+                        write_lock,
+                        f"request line exceeds the {_LINE_LIMIT}-byte limit",
+                    )
+                    await _skip_line(reader)
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -996,17 +1026,7 @@ class StreamServer:
                 try:
                     request = decode_request(line)
                 except ProtocolError as err:
-                    response = Response(
-                        id=-1,
-                        verb="?",
-                        tenant="?",
-                        ok=False,
-                        error="bad-request",
-                        message=str(err),
-                    )
-                    async with write_lock:
-                        writer.write(encode_response(response))
-                        await writer.drain()
+                    await self._reject(writer, write_lock, str(err))
                     continue
                 task = asyncio.create_task(
                     self._serve_one(request, writer, write_lock)
@@ -1021,6 +1041,22 @@ class StreamServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    @staticmethod
+    async def _reject(
+        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: str
+    ) -> None:
+        response = Response(
+            id=-1,
+            verb="?",
+            tenant="?",
+            ok=False,
+            error="bad-request",
+            message=message,
+        )
+        async with write_lock:
+            writer.write(encode_response(response))
+            await writer.drain()
 
     async def _serve_one(
         self,

@@ -1,5 +1,6 @@
 """Placement-search tests (§V-A's 2^N exploration, now branch-and-bound)."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from repro.apps.graph500 import Graph500Config, TrafficModel
 from repro.errors import ReproError
 from repro.sensitivity import exhaustive_search, search_placements
 from repro.sensitivity.search import _BoundModel, _SearchSpace
-from repro.sim import BufferAccess, KernelPhase, PatternKind
+from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
 from repro.units import GB, MiB
 from tests.conftest import XEON_PUS
 
@@ -110,6 +111,16 @@ class TestSearch:
                 default_node=0, critical_buffers=("ghost",), pus=XEON_PUS,
             )
 
+    def test_duplicate_candidate_nodes_rejected(self, xeon_engine, g500_setup):
+        """A repeated node used to be walked twice: duplicate placements
+        and a space of 3^N instead of 2^N."""
+        phases, sizes = g500_setup
+        with pytest.raises(ReproError, match="duplicate candidate nodes"):
+            search_placements(
+                xeon_engine, phases, sizes, (0, 0, 2),
+                default_node=0, pus=XEON_PUS, top_k=4,
+            )
+
     def test_infeasible_everything_raises(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         with pytest.raises(ReproError):
@@ -170,6 +181,57 @@ def _tied_workload():
     return phases, sizes
 
 
+def _oracle(engine, phases, sizes, nodes, *, node_capacity=None, top_k=None,
+            budget=None):
+    """Brute force over ``itertools.product`` in the walk's order: the
+    unpruned search's candidates and counts from scalar per-phase
+    pricings, summed in phase order like the search."""
+    critical = tuple(sorted({a.buffer for ph in phases for a in ph.accesses}))
+    capacity = node_capacity or {}
+    prepared = [engine.prepare_phase(ph, pus=XEON_PUS) for ph in phases]
+    phase_buffers = [tuple(a.buffer for a in ph.accesses) for ph in phases]
+    memo: dict[tuple, float] = {}
+    priced = []
+    capacity_pruned = 0
+    truncated = False
+    for combo in itertools.product(nodes, repeat=len(critical)):
+        used: dict[int, int] = {}
+        for buffer, node in zip(critical, combo):
+            used[node] = used.get(node, 0) + sizes[buffer]
+        if any(n in capacity and used[n] > capacity[n] for n in used):
+            capacity_pruned += 1
+            continue
+        if budget is not None and len(priced) == budget:
+            truncated = True
+            break
+        assignment = dict(zip(critical, combo))
+        seconds = 0.0
+        for idx, bufs in enumerate(phase_buffers):
+            key = (idx, tuple(assignment[b] for b in bufs))
+            if key not in memo:
+                placement = Placement({b: {assignment[b]: 1.0} for b in bufs})
+                memo[key] = engine.price_prepared(
+                    prepared[idx], placement
+                ).seconds
+            seconds += memo[key]
+        priced.append((seconds, combo))
+    kept = sorted(priced)[:top_k]
+    return (
+        [(tuple(zip(critical, c)), s) for s, c in kept],
+        len(priced), len(memo), 0, capacity_pruned, 0, truncated,
+    )
+
+
+def _signature(result):
+    """What :func:`_oracle` returns, read off a search result."""
+    s = result.stats
+    return (
+        [(c.assignment, c.seconds) for c in result.candidates],
+        s.leaves_priced, s.slice_pricings, s.bound_pricings,
+        s.capacity_pruned, s.bound_pruned, s.truncated,
+    )
+
+
 class TestDeterminism:
     def test_tie_break_is_seconds_then_assignment(self, xeon_engine):
         phases, sizes = _tied_workload()
@@ -177,7 +239,6 @@ class TestDeterminism:
             xeon_engine, phases, sizes, (0, 2), default_node=0,
             pus=XEON_PUS,
         )
-        combos = [tuple(n for _, n in c.assignment) for c in result.candidates]
         tied = [
             c for c in result.candidates
             if c.seconds == result.candidates[1].seconds
@@ -188,207 +249,51 @@ class TestDeterminism:
             assert (a.seconds, tuple(n for _, n in a.assignment)) < (
                 b.seconds, tuple(n for _, n in b.assignment)
             )
-        assert sorted(combos) != combos or True  # full order asserted above
 
-    def test_parallel_identical_to_serial_with_ties(self, xeon_engine):
+    def test_serial_matches_oracle_with_ties(self, xeon_engine):
         phases, sizes = _tied_workload()
-        serial = search_placements(
+        result = search_placements(
             xeon_engine, phases, sizes, (0, 2), default_node=0, pus=XEON_PUS,
         )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 2), default_node=0, pus=XEON_PUS,
-            workers=2, force_parallel=True,
-        )
-        assert parallel.candidates == serial.candidates
-        assert parallel.stats.workers == 2
-        assert parallel.stats.dispatch == "parallel"
+        expected = _oracle(xeon_engine, phases, sizes, (0, 2))
+        assert _signature(result)[0] == expected[0]
 
-    def test_parallel_identical_to_serial_graph500(self, xeon_engine, g500_setup):
+    def test_serial_matches_oracle_graph500(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        serial = search_placements(
+        result = search_placements(
             xeon_engine, phases, sizes, (0, 1, 2, 3),
             default_node=0, pus=XEON_PUS,
         )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, workers=3, force_parallel=True,
-        )
         # Bit-identical seconds, same ordering, same assignments.
-        assert parallel.candidates == serial.candidates
+        expected = _oracle(xeon_engine, phases, sizes, (0, 1, 2, 3))
+        assert len(expected[0]) == 4 ** 4
+        assert _signature(result)[0] == expected[0]
 
-    def test_parallel_topk_identical_to_serial(self, xeon_engine, g500_setup):
+    def test_serial_topk_matches_oracle(self, xeon_engine, g500_setup):
+        """Branch-and-bound keeps exactly the oracle's five best."""
         phases, sizes = g500_setup
-        serial = search_placements(
+        result = search_placements(
             xeon_engine, phases, sizes, (0, 1, 2, 3),
             default_node=0, pus=XEON_PUS, top_k=5,
         )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, top_k=5, workers=4,
-            force_parallel=True,
-        )
-        assert parallel.candidates == serial.candidates
+        assert result.stats.bound_pruned > 0
+        expected = _oracle(xeon_engine, phases, sizes, (0, 1, 2, 3), top_k=5)
+        assert _signature(result)[0] == expected[0]
 
     def test_reuse_phase_pricings_bit_identity(self, xeon_engine, g500_setup):
+        """Totals summed from memoized per-phase slices equal a full
+        ``price_run`` of the placement."""
         phases, sizes = g500_setup
-        memoized = search_placements(
+        result = search_placements(
             xeon_engine, phases, sizes, (0, 2), default_node=0,
-            pus=XEON_PUS, reuse_phase_pricings=True,
+            pus=XEON_PUS,
         )
-        direct = search_placements(
-            xeon_engine, phases, sizes, (0, 2), default_node=0,
-            pus=XEON_PUS, reuse_phase_pricings=False,
-        )
-        # Not approx: the memoized totals reuse the identical floats.
-        assert memoized.candidates == direct.candidates
-
-
-class TestDispatcher:
-    """The cost-model dispatcher behind ``workers=N``."""
-
-    def test_small_space_falls_back_to_serial(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=4,
-        )
-        assert result.stats.dispatch == "serial"
-        assert result.stats.workers == 1
-        assert result.stats.requested_workers == 4
-        assert "break-even" in result.stats.dispatch_reason
-        assert "dispatch: serial" in result.stats.report()
-
-    def test_single_cpu_falls_back_to_serial(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 1)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, workers=4,
-        )
-        assert result.stats.dispatch == "serial"
-        assert "single usable CPU" in result.stats.dispatch_reason
-
-    def test_small_budget_skips_the_probe(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, workers=4, max_candidates=8,
-        )
-        assert result.stats.dispatch == "serial"
-        assert "pricing budget" in result.stats.dispatch_reason
-
-    def test_probe_exhaustion_fans_out_identically(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        """A probe too small for the space dispatches parallel, and the
-        parallel results are identical to the plain serial walk."""
-        import repro.sensitivity.search as search_mod
-
-        phases, sizes = g500_setup
-        serial = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4,
-        )
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(search_mod, "_PARALLEL_BREAK_EVEN_LEAVES", 1)
-        dispatched = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=2,
-        )
-        assert dispatched.stats.dispatch == "parallel"
-        assert dispatched.stats.workers == 2
-        assert dispatched.stats.probe_leaves >= 1
-        assert "probe exhausted" in dispatched.stats.dispatch_reason
-        assert dispatched.candidates == serial.candidates
-
-    def test_forced_parallel_skips_probe(self, xeon_engine, g500_setup):
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=2,
-            force_parallel=True,
-        )
-        assert result.stats.dispatch == "parallel"
-        assert result.stats.probe_leaves == 0
-        assert "forced" in result.stats.dispatch_reason
-
-
-class TestSharedBoundTable:
-    """Parent-built bound tables round-trip through shared memory."""
-
-    def _model(self, engine, phases, sizes, nodes):
-        from repro.sensitivity.search import _SharedBoundTable
-
-        critical = tuple(sorted({a.buffer for p in phases for a in p.accesses}))
-        prepared = tuple(engine.prepare_phase(p, pus=XEON_PUS) for p in phases)
-        model = _BoundModel(engine, prepared, critical, nodes, nodes[0])
-        return model, critical, _SharedBoundTable
-
-    def test_roundtrip_bounds_bit_identical(self, xeon_engine, g500_setup):
-        import itertools
-
-        phases, sizes = g500_setup
-        nodes = (0, 2)
-        model, critical, _SharedBoundTable = self._model(
-            xeon_engine, phases, sizes, nodes
-        )
-        shared = _SharedBoundTable(model)
-        try:
-            attached = _SharedBoundTable.attach(shared.meta)
-        finally:
-            shared.unlink()
-        assert attached.pricings == 0
-        for depth in range(len(critical) + 1):
-            for prefix in itertools.product(nodes, repeat=depth):
-                assert attached.bound_for(prefix) == model.bound_for(prefix)
-
-    def test_multi_phase_touches_survive(self, xeon_engine):
-        """A buffer touched in several phases keeps distinct entries."""
-        from repro.sensitivity.search import _SharedBoundTable
-
-        def phase(name, pattern, read):
-            return KernelPhase(
-                name=name,
-                threads=8,
-                accesses=(
-                    BufferAccess(
-                        buffer="x", pattern=pattern,
-                        bytes_read=read, working_set=64 * MiB,
-                    ),
-                ),
-            )
-
-        phases = (
-            phase("p0", PatternKind.STREAM, 64 * MiB),
-            phase("p1", PatternKind.RANDOM, 16 * MiB),
-        )
-        prepared = tuple(
-            xeon_engine.prepare_phase(p, pus=XEON_PUS) for p in phases
-        )
-        model = _BoundModel(xeon_engine, prepared, ("x",), (0, 2), 0)
-        assert len(model._touch[0]) == 2
-        shared = _SharedBoundTable(model)
-        try:
-            attached = _SharedBoundTable.attach(shared.meta)
-        finally:
-            shared.unlink()
-        assert attached._touch == model._touch
-        for prefix in ((), (0,), (2,)):
-            assert attached.bound_for(prefix) == model.bound_for(prefix)
+        assert len(result.candidates) == 2 ** 4
+        for c in result.candidates:
+            placement = Placement({b: {node: 1.0} for b, node in c.assignment})
+            direct = xeon_engine.price_run(phases, placement, pus=XEON_PUS)
+            # Not approx: the memoized totals reuse the identical floats.
+            assert c.seconds == direct.seconds
 
 
 def _random_workload(rng: random.Random):
@@ -444,8 +349,7 @@ class TestLowerBound:
                 pus=XEON_PUS, prune=False,
             )
             space = _SearchSpace(
-                xeon_engine, phases, sizes, nodes, critical,
-                critical, 0, None, XEON_PUS, True,
+                xeon_engine, phases, sizes, nodes, critical, 0, None, XEON_PUS,
             )
             bound = _BoundModel(
                 xeon_engine, space.prepared, critical, nodes, 0
@@ -471,8 +375,7 @@ class TestLowerBound:
             pus=XEON_PUS, prune=False,
         )
         space = _SearchSpace(
-            xeon_engine, phases, sizes, (0, 2), critical, critical,
-            0, None, XEON_PUS, True,
+            xeon_engine, phases, sizes, (0, 2), critical, 0, None, XEON_PUS,
         )
         bound = _BoundModel(xeon_engine, space.prepared, critical, (0, 2), 0)
         for c in full.candidates:
@@ -519,18 +422,46 @@ class TestLargeSpace:
         assert times == sorted(times)
 
 
-class TestBatchLeafPath:
-    """The collect-then-batch pricing path must be invisible in results:
-    identical candidates, seconds (bit for bit), and SearchStats."""
+def _scalar_bound_tables(engine, prepared, critical, nodes, default_node):
+    """Reference build of :class:`_BoundModel`'s tables from one scalar
+    ``price_access_alone`` call per (phase, access, node)."""
+    crit_index = {b: i for i, b in enumerate(critical)}
+    n_phases, n_crit = len(prepared), len(critical)
+    pricings = 0
+    dec_lat = [0.0] * n_phases
+    dec_bw: list[dict[int, float]] = [{} for _ in range(n_phases)]
+    touch: list[list] = [[] for _ in critical]
+    min_lat = [[0.0] * n_crit for _ in range(n_phases)]
+    min_bw = [[0.0] * n_crit for _ in range(n_phases)]
+    for p, prep in enumerate(prepared):
+        for index, (access, _) in enumerate(prep.filtered):
+            ci = crit_index.get(access.buffer)
+            if ci is None:
+                lat, bw = engine.price_access_alone(prep, index, default_node)
+                pricings += 1
+                dec_lat[p] += lat
+                dec_bw[p][default_node] = dec_bw[p].get(default_node, 0.0) + bw
+                continue
+            alone = {n: engine.price_access_alone(prep, index, n) for n in nodes}
+            pricings += len(nodes)
+            lat_by_node = {n: lat for n, (lat, _) in alone.items()}
+            bw_by_node = {n: bw for n, (_, bw) in alone.items()}
+            touch[ci].append((p, lat_by_node, bw_by_node))
+            min_lat[p][ci] = min(lat_by_node.values())
+            min_bw[p][ci] = min(bw_by_node.values())
+    suffix_lat = [[0.0] * (n_crit + 1) for _ in range(n_phases)]
+    suffix_bw = [[0.0] * (n_crit + 1) for _ in range(n_phases)]
+    for p in range(n_phases):
+        for i in range(n_crit - 1, -1, -1):
+            suffix_lat[p][i] = suffix_lat[p][i + 1] + min_lat[p][i]
+            suffix_bw[p][i] = max(suffix_bw[p][i + 1], min_bw[p][i])
+    return pricings, dec_lat, dec_bw, touch, suffix_lat, suffix_bw
 
-    @staticmethod
-    def _signature(result):
-        s = result.stats
-        return (
-            [(c.assignment, c.seconds) for c in result.candidates],
-            s.leaves_priced, s.slice_pricings, s.bound_pricings,
-            s.capacity_pruned, s.bound_pruned, s.truncated,
-        )
+
+class TestBatchLeafPath:
+    """Batch leaf pricing must be invisible in results: identical
+    candidates, seconds (bit for bit), and SearchStats to per-leaf
+    pricing and to the brute-force oracle."""
 
     def _run(self, engine, phases, sizes, **kw):
         return search_placements(
@@ -538,56 +469,92 @@ class TestBatchLeafPath:
             pus=XEON_PUS, **kw,
         )
 
+    def _both_fill_modes(self, monkeypatch, run):
+        """``run()``'s signature with batch pricing forced on, then off."""
+        import repro.sensitivity.search as mod
+
+        sigs = []
+        for min_leaves in (0, 10 ** 9):
+            monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", min_leaves)
+            sigs.append(_signature(run()))
+        return sigs
+
     def test_batch_equals_lazy_g500(
         self, xeon_engine, g500_setup, monkeypatch
     ):
-        import repro.sensitivity.search as mod
         phases, sizes = g500_setup
-        variants = {}
-        for label, flag, min_leaves in (
-            ("batch", True, 0),
-            ("scalar-fallback", True, 10 ** 9),
-            ("lazy", False, 0),
-        ):
-            monkeypatch.setattr(mod, "_BATCH_LEAF_PATH", flag)
-            monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", min_leaves)
-            variants[label] = self._signature(
-                self._run(xeon_engine, phases, sizes, prune=False, top_k=6)
-            )
-        assert variants["batch"] == variants["lazy"]
-        assert variants["scalar-fallback"] == variants["lazy"]
+        batch, lazy = self._both_fill_modes(
+            monkeypatch,
+            lambda: self._run(
+                xeon_engine, phases, sizes, prune=False, top_k=6
+            ),
+        )
+        assert batch == lazy
+        assert batch == _oracle(xeon_engine, phases, sizes, (0, 2), top_k=6)
 
     def test_batch_equals_lazy_randomized(self, xeon_engine, monkeypatch):
-        import repro.sensitivity.search as mod
         rng = random.Random(2024)
-        for _ in range(8):
+        pruned_by_capacity = truncated = bnb_capacity_pruned = 0
+        for i in range(10):
             phases, sizes = _random_workload(rng)
+            total = sum(sizes.values())
+            # A 0-capacity node, a node missing from the dict (unlimited),
+            # and a tight limit that prunes mid-walk.
+            capacity = (
+                None,
+                {2: 0},
+                {0: 0, 2: total},
+                {2: max(sizes.values())},
+                {0: total // 2, 2: total},
+            )[i % 5]
             budget = rng.choice((None, 5, 40))
             top_k = rng.choice((None, 3))
-            sigs = []
-            for flag in (True, False):
-                monkeypatch.setattr(mod, "_BATCH_LEAF_PATH", flag)
-                monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", 0)
-                sigs.append(
-                    self._signature(
-                        self._run(
-                            xeon_engine, phases, sizes,
-                            prune=False, top_k=top_k, max_candidates=budget,
-                        )
-                    )
-                )
-            assert sigs[0] == sigs[1]
+            kw = dict(top_k=top_k, max_candidates=budget, node_capacity=capacity)
+            batch, lazy = self._both_fill_modes(
+                monkeypatch,
+                lambda: self._run(xeon_engine, phases, sizes, prune=False, **kw),
+            )
+            assert batch == lazy
+            oracle = _oracle(
+                xeon_engine, phases, sizes, (0, 2), node_capacity=capacity,
+                top_k=top_k, budget=budget,
+            )
+            assert batch == oracle
+            pruned_by_capacity += oracle[4] > 0
+            truncated += oracle[6]
+            if top_k is None:
+                continue
+            # Per-leaf fill under branch-and-bound: the same k best, and
+            # every leaf priced or pruned, unless the budget cut the walk.
+            bnb = self._run(xeon_engine, phases, sizes, prune=True, **kw)
+            if bnb.stats.truncated:
+                assert bnb.stats.leaves_priced == budget
+                continue
+            best = _oracle(
+                xeon_engine, phases, sizes, (0, 2), node_capacity=capacity,
+                top_k=top_k,
+            )
+            assert _signature(bnb)[0] == best[0]
+            assert (
+                bnb.stats.leaves_priced + bnb.stats.bound_pruned
+                + bnb.stats.capacity_pruned == bnb.stats.space_size
+            )
+            bnb_capacity_pruned += bnb.stats.capacity_pruned > 0
+        assert pruned_by_capacity and truncated and bnb_capacity_pruned
 
-    def test_memo_coherent_across_paths(self, xeon_engine, g500_setup):
-        """A space primed by the batch path reuses its memo on the lazy
-        path (and vice versa) — same keys, same floats."""
+    def test_memo_coherent_across_paths(
+        self, xeon_engine, g500_setup, monkeypatch
+    ):
+        """A space primed by batch pricing reuses its memo on the per-leaf
+        path — same keys, same floats."""
+        import repro.sensitivity.search as mod
+
+        monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", 0)
         phases, sizes = g500_setup
-        engine = xeon_engine
         space = _SearchSpace(
-            engine, phases, sizes, (0, 2),
-            tuple(sizes), tuple(sizes), 0, None, XEON_PUS, True,
+            xeon_engine, phases, sizes, (0, 2), tuple(sizes), 0, None, XEON_PUS,
         )
-        batch_out, _ = space._run_batch(top_k=None, budget=None, prefixes=None)
+        batch_out, _ = space.run(top_k=None, budget=None, prune=False)
         memo_after_batch = dict(space.memo)
         lazy = {
             tuple(cmb): space.price_assignment(dict(zip(space.critical, cmb)))
@@ -604,14 +571,10 @@ class TestBatchLeafPath:
         prepared = tuple(
             xeon_engine.prepare_phase(p, pus=XEON_PUS) for p in phases
         )
-        crit = tuple(sizes)
-        vec = _BoundModel(xeon_engine, prepared, crit, (0, 2), 0)
-        ref = _BoundModel(
-            xeon_engine, prepared, crit, (0, 2), 0, vectorized=False
-        )
-        assert vec.pricings == ref.pricings
-        assert vec._dec_lat == ref._dec_lat
-        assert vec._dec_bw == ref._dec_bw
-        assert vec._touch == ref._touch
-        assert vec._suffix_lat == ref._suffix_lat
-        assert vec._suffix_bw == ref._suffix_bw
+        # All buffers critical, then a subset (the rest pinned on node 0).
+        for crit in (tuple(sizes), ("parent", "csr_targets")):
+            vec = _BoundModel(xeon_engine, prepared, crit, (0, 2), 0)
+            assert (
+                vec.pricings, vec._dec_lat, vec._dec_bw, vec._touch,
+                vec._suffix_lat, vec._suffix_bw,
+            ) == _scalar_bound_tables(xeon_engine, prepared, crit, (0, 2), 0)

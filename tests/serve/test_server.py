@@ -387,6 +387,37 @@ class TestStreamTransport:
 
         run(scenario())
 
+    def test_oversize_line_gets_typed_error_not_disconnect(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    # 1 MiB, far past the 64 KiB line limit: most of the
+                    # line arrives after the server has answered it.
+                    writer.write(b'{"verb":"open","pad":"' + b"x" * (1 << 20))
+                    writer.write(b'"}\n')
+                    writer.write(b'{"verb":"open","tenant":"t","id":1}\n')
+                    await writer.drain()
+                    from repro.serve import decode_response
+
+                    reply = decode_response(await reader.readline())
+                    assert not reply.ok
+                    assert reply.error == "bad-request"
+                    assert reply.id == -1
+                    assert "65536-byte limit" in reply.message
+                    # The rest of the line is skipped; the next one is served.
+                    reply = decode_response(await reader.readline())
+                    assert reply.ok
+                    assert reply.id == 1
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    await stream.stop()
+
+        run(scenario())
+
     def test_interleaved_tenants_share_one_kernel(self, allocator):
         async def scenario():
             async with ReproServeServer(allocator) as server:

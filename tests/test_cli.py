@@ -57,7 +57,6 @@ class TestSearchCli:
         assert args.platform == "xeon-cascadelake-1lm"
         assert args.nodes == "0,2"
         assert args.top_k == 8
-        assert args.workers == 1
         assert args.budget is None
         assert not args.no_prune
 
@@ -84,6 +83,11 @@ class TestSearchCli:
     def test_search_unknown_critical_fails(self, capsys):
         assert search_main(["--critical", "nonesuch"]) == 1
         assert "critical buffers not in phases" in capsys.readouterr().err
+
+    def test_search_duplicate_nodes_fail(self, capsys):
+        assert search_main(["--nodes", "0,0,2", "--top-k", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate candidate nodes: [0]" in err
 
     def test_search_no_prune(self, capsys):
         assert search_main(["--no-prune", "--top-k", "1"]) == 0
