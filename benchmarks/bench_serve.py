@@ -5,7 +5,7 @@ loop through the in-process submit path (the same admission/commit path
 the socket front end uses), and closes.  The bench reports sustained
 requests/second, p50/p99 request latency, and the commit coalescing
 factor (requests per single-writer wake-up) — the number that shows the
-``mem_alloc_many`` batching stage actually engaging under concurrency.
+commit loop draining concurrent arrivals together.
 
 Full shape drives 2000 concurrent clients (the acceptance bar asks for
 at least 1000 sustained); ``REPRO_BENCH_QUICK=1`` shrinks the fleet for
@@ -127,8 +127,8 @@ def test_serve_many_tenants(record, xeon_setup):
         # a reported p99.
         assert N_CLIENTS >= 1000
         assert summary["p99_ms"] > 0
-    # Concurrency must actually coalesce commits, else the batching
-    # stage silently stopped engaging.
+    # Concurrency must put several requests in one commit, else the
+    # commit loop silently stopped draining concurrent arrivals together.
     assert summary["mean_commit_size"] > 1.0
 
 

@@ -57,8 +57,9 @@ class Buffer:
     target: TopoObject | None          # primary target (None if fully split)
     fallback_rank: int                 # 0 = got the best target
     initiator: tuple[int, ...]
-    # Allocation plan this buffer was placed by (recycling handle of the
-    # warm fast path); None for buffers placed outside the fast path.
+    # Memoized plan whose pool this buffer returns to when freed; None
+    # for named, spilled or migrated buffers, for buffers off the plan's
+    # first online entry, and while the plan memo is off.
     _plan: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -90,35 +91,43 @@ _POOL_MAX = 256
 
 
 class _AllocPlan:
-    """One memoized allocation plan: the resolved ranking of a
-    ``(attribute, initiator, scope)`` triple, flattened for the warm path.
+    """One resolved allocation plan: the ranking of a ``(attribute,
+    initiator, scope)`` triple, flattened for the placement walk.
 
     A plan is valid only while ``generation`` matches the attribute
     store's — attribute updates *and* topology events (offline/online,
     co-tenant capacity shifts) bump the generation, so a stale plan can
     never place onto a dead node or follow an outdated ranking.
 
-    ``entries`` holds the online ranked targets as
-    ``(node_state, os_index, target, bind_policy, original_rank)`` tuples:
-    everything the first-fit walk needs without touching the topology,
-    the policy constructor, or the query cache.  ``pool`` recycles
-    freed fast-path buffers (object + name + kernel allocation record)
-    so a warm alloc/free cycle is a handful of counter updates.
+    ``targets`` is the full ranking (best first).  ``entries`` holds its
+    online members as ``(node_state, os_index, target, bind_policy,
+    rank)`` tuples: everything the first-fit walk needs without touching
+    the topology, the policy constructor, or the query cache.
+    ``state``/``node`` name the first online entry.  ``pool`` recycles
+    freed buffers this plan placed on ``node`` (object + name + kernel
+    allocation record), so a warm alloc/free cycle is a handful of
+    counter updates.
     """
 
     __slots__ = (
         "generation",
         "used_attr",
+        "targets",
         "entries",
         "state",
         "node",
-        "best_rank",
-        "best_node_orig",
-        "best_target_orig",
-        "nodeset",
         "initiator_pus",
         "pool",
     )
+
+    def __init__(self, generation, used_attr, targets, entries, initiator_pus):
+        self.generation = generation
+        self.used_attr = used_attr
+        self.targets = targets
+        self.entries = entries
+        self.state, self.node = entries[0][:2] if entries else (None, -1)
+        self.initiator_pus = initiator_pus
+        self.pool: list[Buffer] = []
 
 
 class HeterogeneousAllocator:
@@ -146,7 +155,7 @@ class HeterogeneousAllocator:
         self.tie_tolerance = tie_tolerance
         self.tie_attr = tie_attr
         self.buffers: dict[str, Buffer] = {}
-        # Warm-path plan cache: (attribute, initiator, scope) -> _AllocPlan.
+        # Plan memo: (attribute, initiator, scope) -> _AllocPlan.
         # Entries self-invalidate via the generation check; the dict itself
         # only grows with the number of distinct request triples.
         self._plans: dict[tuple, _AllocPlan] = {}
@@ -174,11 +183,11 @@ class HeterogeneousAllocator:
         or in another DRAM?", answerable once benchmarking measured the
         remote pairs.  Returns ``(used_attribute_name, ranked_targets)``.
 
-        This is the allocator's hot path: the resolved
-        ``(used_attribute, ranking)`` pair is memoized in the MemAttrs
-        query cache (family ``"alloc_rank"``) keyed by its generation,
-        so repeated ``mem_alloc`` calls between attribute updates only
-        re-walk the free-capacity check.
+        The resolved ``(used_attribute, ranking)`` pair is memoized in
+        the MemAttrs query cache (family ``"alloc_rank"``) keyed by its
+        generation.  ``mem_alloc`` builds its allocation plans from it;
+        ``migrate``, the planners, the serve ``query`` verb and the
+        resilient allocator call it directly.
         """
         if scope not in ("local", "machine"):
             raise AllocationError(f"unknown scope {scope!r}")
@@ -266,7 +275,7 @@ class HeterogeneousAllocator:
         if OBS.enabled:
             # Sampling gate: with obs.enable(sample_every=N) only every
             # N-th request pays for span + metric recording; the rest run
-            # the same placement logic untraced.
+            # the same placement route untraced.
             skip = OBS.hot_countdown
             if skip:
                 OBS.hot_countdown = skip - 1
@@ -276,47 +285,8 @@ class HeterogeneousAllocator:
                     size, attribute, initiator, name,
                     allow_partial, allow_fallback, scope,
                 )
-        # Warm fast path — recycle a pooled buffer of the valid plan for
-        # this request triple.  Twin of _fast_alloc (keep in lockstep):
-        # inlined here because a delegating call costs more than the
-        # entire recycle.
-        if name is None and allow_fallback and not allow_partial:
-            try:
-                plan = self._plans.get((attribute, initiator, scope))
-            except TypeError:
-                plan = None
-            if (
-                plan is not None
-                and plan.generation == self.memattrs._generation
-                and self._qc.enabled
-            ):
-                pool = plan.pool
-                if pool:
-                    buf = pool[-1]
-                    alloc = buf.allocation
-                    if alloc.size_bytes == size:
-                        state = plan.state
-                        pages = alloc.pages_by_node[plan.node]
-                        if (
-                            state.free_pages >= pages
-                            and self.buffers.setdefault(buf.name, buf) is buf
-                        ):
-                            del pool[-1]
-                            state.free_pages -= pages
-                            alloc.freed = False
-                            self._kernel_live[alloc.allocation_id] = alloc
-                            return buf
-                buf = self._plan_alloc(plan, size, attribute)
-                if buf is not None:
-                    return buf
-        return self._mem_alloc_impl(
-            size,
-            attribute,
-            initiator,
-            name=name,
-            allow_partial=allow_partial,
-            allow_fallback=allow_fallback,
-            scope=scope,
+        return self._alloc(
+            size, attribute, initiator, name, allow_partial, allow_fallback, scope
         )
 
     def _mem_alloc_traced(
@@ -331,9 +301,9 @@ class HeterogeneousAllocator:
         ) as span:
             metrics.counter("alloc.requests", attribute=attribute).inc()
             try:
-                buffer = self._alloc_route(
+                buffer = self._alloc(
                     size, attribute, initiator, name,
-                    allow_partial, allow_fallback, scope,
+                    allow_partial, allow_fallback, scope, traced=True,
                 )
             except CapacityError:
                 metrics.counter("alloc.capacity_errors", attribute=attribute).inc()
@@ -361,210 +331,136 @@ class HeterogeneousAllocator:
             )
             return buffer
 
-    def _alloc_route(
+    def _alloc(
         self, size, attribute, initiator, name,
-        allow_partial, allow_fallback, scope,
+        allow_partial, allow_fallback, scope, traced=False,
     ) -> Buffer:
-        """Fast path when eligible, else the legacy body — the placement
-        decisions are identical to the untraced route in mem_alloc."""
-        if name is None and allow_fallback and not allow_partial:
-            buf = self._fast_alloc(size, attribute, initiator, scope)
-            if buf is not None:
-                return buf
-        return self._mem_alloc_impl(
-            size,
-            attribute,
-            initiator,
-            name=name,
-            allow_partial=allow_partial,
-            allow_fallback=allow_fallback,
-            scope=scope,
-        )
+        """The placement route every allocation takes.
 
-    def _fast_alloc(self, size, attribute, initiator, scope) -> Buffer | None:
-        """Plan-cache fast allocation; None means "take the legacy path".
-
-        Twin of the inline block in mem_alloc — keep in lockstep.  The
-        only addition is kernel counter parity: a recycled commit never
-        reaches the kernel's instrumented allocate, so it emits the page
-        accounting counters itself.
+        Memo probe, validate, plan, place, fail — in that order.
+        ``traced`` requests count a recycled commit in the kernel's
+        counters, since it never reaches the kernel.
         """
         try:
             plan = self._plans.get((attribute, initiator, scope))
-        except TypeError:
-            return None
-        if (
-            plan is None
-            or plan.generation != self.memattrs._generation
-            or not self._qc.enabled
-        ):
-            return None
-        pool = plan.pool
-        if pool:
-            buf = pool[-1]
-            alloc = buf.allocation
-            if alloc.size_bytes == size:
-                state = plan.state
-                pages = alloc.pages_by_node[plan.node]
-                if (
-                    state.free_pages >= pages
-                    and self.buffers.setdefault(buf.name, buf) is buf
-                ):
-                    del pool[-1]
-                    state.free_pages -= pages
-                    alloc.freed = False
-                    self._kernel_live[alloc.allocation_id] = alloc
-                    if OBS.enabled:
-                        OBS.metrics.counter("kernel.allocations").inc()
-                        OBS.metrics.counter("kernel.pages_allocated").inc(pages)
-                    return buf
-        return self._plan_alloc(plan, size, attribute)
+        except TypeError:      # unhashable initiator: never memoized
+            plan = None
+        if plan is None:
+            pass               # nothing memoized for this triple yet
+        elif plan.generation != self.memattrs._generation or not self._qc.enabled:
+            plan = None
+        elif name is None and allow_fallback and not allow_partial:
+            # Memo of the plan's first-fit answer: a pooled buffer of this
+            # size back on the first online entry.  A hit implies a valid
+            # plan, no name and a positive size, so it may precede the
+            # checks below.
+            pool = plan.pool
+            if pool:
+                buf = pool[-1]
+                alloc = buf.allocation
+                if alloc.size_bytes == size:
+                    state = plan.state
+                    pages = alloc.pages_by_node[plan.node]
+                    if (
+                        state.free_pages >= pages
+                        and self.buffers.setdefault(buf.name, buf) is buf
+                    ):
+                        del pool[-1]
+                        state.free_pages -= pages
+                        alloc.freed = False
+                        self._kernel_live[alloc.allocation_id] = alloc
+                        if traced:
+                            OBS.metrics.counter("kernel.allocations").inc()
+                            OBS.metrics.counter("kernel.pages_allocated").inc(pages)
+                        return buf
 
-    def _plan_alloc(self, plan: _AllocPlan, size, attribute) -> Buffer | None:
-        """First-fit over a valid plan's online entries, committing through
-        the kernel's no-walk fast commit.  None when nothing fits (the
-        legacy path then re-walks and raises the canonical error)."""
+        if size <= 0:
+            raise AllocationError("allocation size must be positive")
+        bufname = name or f"buf{next(_buffer_ids)}"
+        if bufname in self.buffers:
+            raise AllocationError(f"buffer name {bufname!r} already in use")
+
+        memo = plan is not None
+        if not memo:
+            plan = self._build_plan(attribute, initiator, scope)
+            # Memoize only while the query cache is on: turning it off
+            # means "re-derive everything", plans included.
+            if self._qc.enabled:
+                try:
+                    self._plans[(attribute, initiator, scope)] = plan
+                    memo = True
+                except TypeError:
+                    pass
+
         pages = -(-size // self._page_size)
-        for state, node, target, policy, rank in plan.entries:
-            if state.free_pages >= pages:
-                alloc = self.kernel.place_pages(node, pages, size, policy)
-                bufname = f"buf{next(_buffer_ids)}"
+        entries = plan.entries
+        if not allow_fallback:
+            # Strict binding: the original best target, while it is online.
+            entries = entries[:1] if plan.node == plan.targets[0].os_index else ()
+        if allow_partial:
+            # Greedy spill down the ranking ("at least partially", §VII).
+            if sum(entry[0].free_pages for entry in entries) >= pages:
+                allocation = self.kernel.allocate_ordered(
+                    size, tuple(entry[1] for entry in entries)
+                )
+                best = plan.targets[0]
+                frac = allocation.fraction_on(best.os_index)
                 buffer = Buffer(
                     name=bufname,
                     size=size,
                     requested_attribute=attribute,
                     used_attribute=plan.used_attr,
-                    allocation=alloc,
-                    target=target,
-                    fallback_rank=rank,
+                    allocation=allocation,
+                    target=best if frac > 0 else None,
+                    fallback_rank=0 if frac >= 0.999 else 1,
                     initiator=plan.initiator_pus,
                 )
-                if rank == plan.best_rank:
-                    buffer._plan = plan
                 self.buffers[bufname] = buffer
                 return buffer
-        return None
-
-    def _build_plan(self, used_attr, ranked, initiator_pus) -> _AllocPlan:
-        """Flatten one resolved ranking into a warm-path plan."""
-        nodes = self.kernel.nodes
-        offline = self.kernel._offline
-        entries = tuple(
-            (
-                nodes[tv.target.os_index],
-                tv.target.os_index,
-                tv.target,
-                bind_policy(tv.target.os_index),
-                rank,
-            )
-            for rank, tv in enumerate(ranked)
-            if tv.target.os_index not in offline
-        )
-        plan = _AllocPlan()
-        plan.generation = self.memattrs._generation
-        plan.used_attr = used_attr
-        plan.entries = entries
-        if entries:
-            plan.state = entries[0][0]
-            plan.node = entries[0][1]
-            plan.best_rank = entries[0][4]
         else:
-            plan.state = None
-            plan.node = -1
-            plan.best_rank = -1
-        plan.best_node_orig = ranked[0].target.os_index
-        plan.best_target_orig = ranked[0].target
-        plan.nodeset = tuple(tv.target.os_index for tv in ranked)
-        plan.initiator_pus = initiator_pus
-        plan.pool = []
-        return plan
-
-    def _mem_alloc_impl(
-        self,
-        size: int,
-        attribute: str,
-        initiator,
-        *,
-        name: str | None,
-        allow_partial: bool,
-        allow_fallback: bool,
-        scope: str,
-    ) -> Buffer:
-        if size <= 0:
-            raise AllocationError("allocation size must be positive")
-        auto_named = name is None
-        name = name or f"buf{next(_buffer_ids)}"
-        if name in self.buffers:
-            raise AllocationError(f"buffer name {name!r} already in use")
-        initiator_pus = self._initiator_pus(initiator)
-        used_attr, ranked = self.rank_for(attribute, initiator, scope=scope)
-        # (Re)build the warm-path plan for this triple while the resolved
-        # ranking is in hand, so the next request takes the fast path.
-        plan = None
-        if self._qc.enabled:
-            try:
-                plan = self._plans.get((attribute, initiator, scope))
-                if plan is None or plan.generation != self.memattrs._generation:
-                    plan = self._build_plan(used_attr, ranked, initiator_pus)
-                    self._plans[(attribute, initiator, scope)] = plan
-            except TypeError:      # unhashable initiator: uncacheable
-                plan = None
-        if not allow_fallback:
-            ranked = ranked[:1]
-
-        if allow_partial:
-            # Greedy spill down the ranking ("at least partially", §VII).
-            nodeset = tuple(tv.target.os_index for tv in ranked)
-            total_free = sum(self.kernel.free_bytes(n) for n in nodeset)
-            if total_free >= size:
-                allocation = self.kernel.allocate_ordered(size, nodeset)
-                best_node = ranked[0].target.os_index
-                buffer = Buffer(
-                    name=name,
-                    size=size,
-                    requested_attribute=attribute,
-                    used_attribute=used_attr,
-                    allocation=allocation,
-                    target=(
-                        ranked[0].target
-                        if allocation.fraction_on(best_node) > 0
-                        else None
-                    ),
-                    fallback_rank=0 if allocation.fraction_on(best_node) >= 0.999 else 1,
-                    initiator=initiator_pus,
-                )
-                self.buffers[name] = buffer
-                return buffer
-        else:
-            for rank, tv in enumerate(ranked):
-                node = tv.target.os_index
-                if self.kernel.free_bytes(node) >= size:
-                    allocation = self.kernel.allocate(
-                        size, bind_policy(node), initiator_pu=initiator_pus[0]
-                    )
+            # Whole buffer on the first target that fits (hwloc's walk).
+            for state, node, target, policy, rank in entries:
+                if state.free_pages >= pages:
                     buffer = Buffer(
-                        name=name,
+                        name=bufname,
                         size=size,
                         requested_attribute=attribute,
-                        used_attribute=used_attr,
-                        allocation=allocation,
-                        target=tv.target,
+                        used_attribute=plan.used_attr,
+                        allocation=self.kernel.place_pages(node, pages, size, policy),
+                        target=target,
                         fallback_rank=rank,
-                        initiator=initiator_pus,
+                        initiator=plan.initiator_pus,
                     )
-                    if auto_named and plan is not None and node == plan.node:
-                        # Eligible for pool recycling when freed: unnamed,
-                        # whole-buffer, sitting on the plan's best target.
+                    if memo and name is None and node == plan.node:
+                        # Pool-eligible when freed: unnamed, whole-buffer,
+                        # on the plan's first online entry.
                         buffer._plan = plan
-                    self.buffers[name] = buffer
+                    self.buffers[bufname] = buffer
                     return buffer
 
+        targets = plan.targets if allow_fallback else plan.targets[:1]
         raise CapacityError(
             f"cannot place {size} bytes for attribute {attribute!r}: "
             + "; ".join(
-                f"{tv.target.label} free={self.kernel.free_bytes(tv.target.os_index)}"
-                for tv in ranked
+                f"{t.label} free={self.kernel.free_bytes(t.os_index)}"
+                for t in targets
             )
+        )
+
+    def _build_plan(self, attribute, initiator, scope) -> _AllocPlan:
+        """Resolve one request triple into a fresh plan."""
+        initiator_pus = self._initiator_pus(initiator)
+        used_attr, ranked = self.rank_for(attribute, initiator, scope=scope)
+        nodes = self.kernel.nodes
+        offline = self.kernel._offline
+        targets = tuple(tv.target for tv in ranked)
+        entries = tuple(
+            (nodes[t.os_index], t.os_index, t, bind_policy(t.os_index), rank)
+            for rank, t in enumerate(targets)
+            if t.os_index not in offline
+        )
+        return _AllocPlan(
+            self.memattrs._generation, used_attr, targets, entries, initiator_pus
         )
 
     def mem_alloc_many(
@@ -576,9 +472,9 @@ class HeterogeneousAllocator:
         """Allocate a batch of buffers in one call.
 
         ``requests`` is an iterable of :class:`AllocRequest` (or dicts /
-        tuples with the same fields).  Requests sharing an (attribute,
-        initiator, scope) resolve their target ranking once — the query
-        cache serves every repeat — so the per-buffer cost is only the
+        tuples with the same fields), placed in order by the same route
+        as :meth:`mem_alloc`.  Requests sharing an (attribute, initiator,
+        scope) share its plan, so the per-buffer cost is only the
         free-capacity walk and the page placement.
 
         By default the batch is all-or-nothing: when any request fails,
@@ -587,15 +483,11 @@ class HeterogeneousAllocator:
         (the failed request's error still propagates).
         """
         if not OBS.enabled:
-            return self._mem_alloc_many_impl(
-                requests, rollback_on_error=rollback_on_error
-            )
+            return self._mem_alloc_many_impl(requests, rollback_on_error)
         with OBS.tracer.span("mem_alloc_many") as span:
             OBS.metrics.counter("alloc.batches").inc()
             try:
-                placed = self._mem_alloc_many_impl(
-                    requests, rollback_on_error=rollback_on_error
-                )
+                placed = self._mem_alloc_many_impl(requests, rollback_on_error)
             except Exception:
                 OBS.metrics.counter("alloc.batch_failures").inc()
                 raise
@@ -604,37 +496,22 @@ class HeterogeneousAllocator:
             return placed
 
     def _mem_alloc_many_impl(
-        self,
-        requests,
-        *,
-        rollback_on_error: bool,
+        self, requests, rollback_on_error: bool
     ) -> tuple[Buffer, ...]:
-        reqs = requests if type(requests) is list else list(requests)
-        if reqs and not OBS.enabled and reqs[0].__class__ is AllocRequest:
-            # Batch fast paths.  Both bail to the sequential loop (None)
-            # whenever any request is not plan-eligible or capacity is
-            # tight enough that first-fit order matters — the loop is the
-            # semantic definition of a batch.  Mixed dict/tuple request
-            # shapes also fall through (normalization happens in the
-            # loop below).
-            fast = (
-                self._batch_partial_fast(reqs)
-                if reqs[0].allow_partial
-                else self._batch_fast(reqs)
-            )
-            if fast is not None:
-                return fast
+        traced = OBS.enabled
+        alloc = self._alloc
         placed: list[Buffer] = []
         try:
-            for req in reqs:
+            for req in requests:
                 if isinstance(req, AllocRequest):
                     r = req
                 elif isinstance(req, dict):
                     r = AllocRequest(**req)
                 else:
                     r = AllocRequest(*req)
-                placed.append(
-                    self.mem_alloc(
+                if traced:
+                    # Through mem_alloc: per-request sampling and spans.
+                    buf = self.mem_alloc(
                         r.size,
                         r.attribute,
                         r.initiator,
@@ -643,7 +520,12 @@ class HeterogeneousAllocator:
                         allow_fallback=r.allow_fallback,
                         scope=r.scope,
                     )
-                )
+                else:
+                    buf = alloc(
+                        r.size, r.attribute, r.initiator, r.name,
+                        r.allow_partial, r.allow_fallback, r.scope,
+                    )
+                placed.append(buf)
         except Exception:
             if rollback_on_error:
                 for buf in reversed(placed):
@@ -651,135 +533,15 @@ class HeterogeneousAllocator:
             raise
         return tuple(placed)
 
-    def _batch_fast(self, reqs: list[AllocRequest]) -> tuple[Buffer, ...] | None:
-        """Whole-buffer batch commit: one fused fast-path pass per request.
-
-        Runs the warm fast path (pool recycle, else plan first-fit) over
-        the batch in request order — by construction the same placement
-        decisions as the sequential ``mem_alloc`` loop, minus the
-        per-request dispatch, telemetry-gate and capacity re-derivation
-        overhead.  Any ineligible request (named, partial, stale plan,
-        nothing fits) undoes the committed prefix exactly (fast free
-        restores counters and pools) and returns None, and the caller
-        replays through the sequential loop.
-        """
-        if not self._qc.enabled:
-            return None
-        gen = self.memattrs._generation
-        plans = self._plans
-        live = self._kernel_live
-        buffers = self.buffers
-        out: list[Buffer] = []
-        for r in reqs:
-            if (
-                r.__class__ is not AllocRequest
-                or r.name is not None
-                or r.allow_partial
-                or not r.allow_fallback
-            ):
-                break
-            try:
-                plan = plans.get((r.attribute, r.initiator, r.scope))
-            except TypeError:
-                break
-            if plan is None or plan.generation != gen:
-                break
-            size = r.size
-            pool = plan.pool
-            if pool:
-                buf = pool[-1]
-                alloc = buf.allocation
-                if alloc.size_bytes == size:
-                    state = plan.state
-                    pages = alloc.pages_by_node[plan.node]
-                    if (
-                        state.free_pages >= pages
-                        and buffers.setdefault(buf.name, buf) is buf
-                    ):
-                        del pool[-1]
-                        state.free_pages -= pages
-                        alloc.freed = False
-                        live[alloc.allocation_id] = alloc
-                        out.append(buf)
-                        continue
-            buf = self._plan_alloc(plan, size, r.attribute)
-            if buf is None:
-                break
-            out.append(buf)
-        else:
-            return tuple(out)
-        for buf in reversed(out):
-            self.free(buf)
-        return None
-
-    def _batch_partial_fast(
-        self, reqs: list[AllocRequest]
-    ) -> tuple[Buffer, ...] | None:
-        """Hybrid (spill) batch via the kernel's vectorized ordered fill.
-
-        Applies when the whole batch shares one plan-eligible
-        ``(attribute, initiator, scope)`` triple with ``allow_partial``
-        set and the ranked nodeset can hold the batch total — exactly the
-        regime where a sequence of ``allocate_ordered`` calls equals one
-        cumulative fill, which :meth:`KernelMemoryManager.
-        allocate_many_ordered` computes with numpy array ops.
-        """
-        r0 = reqs[0]
-        for r in reqs:
-            if (
-                r.__class__ is not AllocRequest
-                or r.name is not None
-                or not r.allow_partial
-                or not r.allow_fallback
-                or r.attribute != r0.attribute
-                or r.initiator != r0.initiator
-                or r.scope != r0.scope
-            ):
-                return None
-        if not self._qc.enabled:
-            return None
-        try:
-            plan = self._plans.get((r0.attribute, r0.initiator, r0.scope))
-        except TypeError:
-            return None
-        if plan is None or plan.generation != self.memattrs._generation:
-            return None
-        ps = self._page_size
-        total_pages = sum(-(-r.size // ps) for r in reqs)
-        free_total = int(self.kernel.free_pages_array(plan.nodeset).sum())
-        if total_pages > free_total:
-            return None
-        allocs = self.kernel.allocate_many_ordered(
-            [r.size for r in reqs], plan.nodeset
-        )
-        best = plan.best_node_orig
-        out: list[Buffer] = []
-        for r, alloc in zip(reqs, allocs):
-            frac = alloc.fraction_on(best)
-            bufname = f"buf{next(_buffer_ids)}"
-            buffer = Buffer(
-                name=bufname,
-                size=r.size,
-                requested_attribute=r.attribute,
-                used_attribute=plan.used_attr,
-                allocation=alloc,
-                target=plan.best_target_orig if frac > 0 else None,
-                fallback_rank=0 if frac >= 0.999 else 1,
-                initiator=plan.initiator_pus,
-            )
-            self.buffers[bufname] = buffer
-            out.append(buffer)
-        return tuple(out)
-
     def cache_stats(self) -> dict:
         """Hit/miss/invalidation counters of the shared query cache."""
         return self.memattrs.cache_stats()
 
     def free(self, buffer: Buffer | str) -> None:
-        # Fast path: a live fast-path buffer releases its pages straight
-        # to its plan's node counter and parks itself in the plan's pool
-        # for recycling.  Everything else (names, migrated/split buffers,
-        # double frees) takes the legacy route below.
+        # Fast release: a live buffer with a plan returns its pages
+        # straight to the plan's node counter and parks itself in the
+        # plan's pool for recycling.  Everything else (names, split or
+        # moved buffers, double frees) goes through the kernel below.
         if buffer.__class__ is Buffer:
             plan = buffer._plan
             if plan is not None:
@@ -799,7 +561,7 @@ class HeterogeneousAllocator:
                     if got is not None:
                         # A different live buffer owns this name (the
                         # caller's handle is stale): restore and let the
-                        # legacy route raise its canonical error.
+                        # kernel route raise its canonical error.
                         self.buffers[buffer.name] = got
         buffer = self._resolve_buffer(buffer)
         self.kernel.free(buffer.allocation)
@@ -830,6 +592,9 @@ class HeterogeneousAllocator:
             needed = buffer.size * (1 - already)
             if self.kernel.free_bytes(node) >= needed:
                 report = self.kernel.migrate(buffer.allocation, node)
+                # Re-placed under another request: no longer the plan's
+                # answer, so it must not return to the plan's pool.
+                buffer._plan = None
                 buffer.target = tv.target
                 buffer.used_attribute = used_attr
                 buffer.requested_attribute = attribute

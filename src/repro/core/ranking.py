@@ -7,9 +7,9 @@ the tie with another attribute (capacity — don't burn scarce HBM when it
 buys nothing).
 
 Composed rankings are memoized in the owning :class:`MemAttrs`' query
-cache (family ``"rank_tiebreak"``), keyed by its generation — the hot
-``rank_for`` path of the heterogeneous allocator lands here on every
-``mem_alloc``.
+cache (family ``"rank_tiebreak"``), keyed by its generation — the
+heterogeneous allocator's ``rank_for`` lands here whenever it builds an
+allocation plan.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ observable to the simulator and the profiler.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,28 +181,13 @@ class KernelMemoryManager:
         self._zonelist_cache[from_node] = order
         return order
 
-    def free_pages_array(self, nodes: Sequence[int] | None = None) -> np.ndarray:
-        """Per-node free-page counters as an int64 array.
-
-        ``nodes`` selects and orders the columns (default: sorted node
-        ids).  Offline nodes report 0, matching :meth:`free_bytes` — the
-        array is the vectorized form of the capacity the allocation paths
-        may consume.
-        """
-        ids = self.node_ids() if nodes is None else tuple(nodes)
+    def free_pages_array(self) -> np.ndarray:
+        """Per-node free-page counters as an int64 array, in sorted node
+        id order.  Offline nodes report 0, matching :meth:`free_bytes`."""
+        ids = self.node_ids()
         offline = self._offline
         return np.fromiter(
-            (0 if n in offline else self._node(n).free_pages for n in ids),
-            dtype=np.int64,
-            count=len(ids),
-        )
-
-    def used_pages_array(self, nodes: Sequence[int] | None = None) -> np.ndarray:
-        """Per-node used-page counters as an int64 array (see
-        :meth:`free_pages_array` for ordering)."""
-        ids = self.node_ids() if nodes is None else tuple(nodes)
-        return np.fromiter(
-            (self._node(n).used_pages for n in ids),
+            (0 if n in offline else self.nodes[n].free_pages for n in ids),
             dtype=np.int64,
             count=len(ids),
         )
@@ -314,95 +299,19 @@ class KernelMemoryManager:
             policy=bind_policy(*nodes_in_order),
         )
         self._live[alloc.allocation_id] = alloc
-        return alloc
-
-    def allocate_many_ordered(
-        self, sizes: Sequence[int], nodes_in_order: tuple[int, ...]
-    ) -> tuple[PageAllocation, ...]:
-        """Vectorized batch form of :meth:`allocate_ordered`.
-
-        Services every request of ``sizes`` as if :meth:`allocate_ordered`
-        had been called once per size, in order, over the same node order —
-        pages fill the zonelist sequentially and a request straddling a
-        node boundary splits exactly where the sequential fill would split
-        it.  The placement geometry is computed in O(nodes + splits) numpy
-        array ops (cumulative zonelist fills + ``searchsorted``) instead of
-        an O(requests × nodes) Python walk.
-
-        All-or-nothing: when the batch does not fit, no state changes and
-        :class:`CapacityError` carries the index of the first request the
-        sequential fill could not have placed.
-        """
-        if not nodes_in_order:
-            raise PolicyError("allocate_many_ordered needs at least one node")
-        unknown = set(nodes_in_order) - set(self.nodes)
-        if unknown:
-            raise PolicyError(f"unknown nodes {sorted(unknown)}")
-        policy = bind_policy(*nodes_in_order)
-        if self._offline:
-            nodes_in_order = tuple(
-                n for n in nodes_in_order if n not in self._offline
-            )
-            if not nodes_in_order:
-                raise CapacityError(
-                    "ordered placement impossible: every candidate node is offline"
-                )
-        if not sizes:
-            return ()
-        pages = np.fromiter(
-            (self._pages_for(s) for s in sizes), dtype=np.int64, count=len(sizes)
-        )
-        ends = np.cumsum(pages)
-        starts = ends - pages
-        free = self.free_pages_array(nodes_in_order)
-        bounds = np.cumsum(free)          # end offset of each node's fill region
-        if ends[-1] > bounds[-1]:
-            first_over = int(np.searchsorted(ends, bounds[-1], side="right"))
-            raise CapacityError(
-                f"ordered batch over {list(nodes_in_order)} cannot hold "
-                f"{int(ends[-1])} pages (request #{first_over} overflows)"
-            )
-        first = np.searchsorted(bounds, starts, side="right")
-        last = np.searchsorted(bounds, ends - 1, side="right")
-        region_lo = bounds - free
-        allocs: list[PageAllocation] = []
-        for i, size_bytes in enumerate(sizes):
-            placed: dict[int, int] = {}
-            for k in range(int(first[i]), int(last[i]) + 1):
-                take = int(
-                    min(ends[i], bounds[k]) - max(starts[i], region_lo[k])
-                )
-                if take > 0:
-                    placed[nodes_in_order[k]] = take
-            alloc = PageAllocation(
-                allocation_id=next(_alloc_ids),
-                size_bytes=size_bytes,
-                page_size=self.page_size,
-                pages_by_node=placed,
-                policy=policy,
-            )
-            allocs.append(alloc)
-        # Commit per-node totals in O(nodes): each node's region is filled
-        # up to min(its boundary, the batch end).
-        consumed = np.minimum(bounds, ends[-1]) - np.minimum(region_lo, ends[-1])
-        for k, node in enumerate(nodes_in_order):
-            if consumed[k] > 0:
-                self._node(node).reserve(int(consumed[k]))
-        for alloc in allocs:
-            self._live[alloc.allocation_id] = alloc
         if OBS.enabled:
-            OBS.metrics.counter("kernel.allocations").inc(len(allocs))
-            OBS.metrics.counter("kernel.pages_allocated").inc(int(ends[-1]))
-        return tuple(allocs)
+            OBS.metrics.counter("kernel.allocations").inc()
+            OBS.metrics.counter("kernel.pages_allocated").inc(pages)
+        return alloc
 
     def place_pages(
         self, node: int, pages: int, size_bytes: int, policy: MemPolicy
     ) -> PageAllocation:
         """Commit ``pages`` on one node without a policy walk.
 
-        The allocator's plan-cached fast path calls this after it has
-        already verified the fit against the node's live free counter; the
-        method only performs the commit (reserve + bookkeeping).
+        The allocator's plan walk calls this after it has already
+        verified the fit against the node's live free counter; the method
+        only performs the commit (reserve + bookkeeping).
         """
         self._node(node).reserve(pages)
         alloc = PageAllocation(

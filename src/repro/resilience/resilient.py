@@ -115,11 +115,11 @@ class ResilientAllocator:
     ) -> tuple[str, ...]:
         """Audit one placed buffer against its request; log if degraded.
 
-        The batch paths (``mem_alloc_many`` commits in :mod:`repro.serve`)
-        place buffers without going through :meth:`mem_alloc`; they call
-        this afterwards, buffer by buffer in request order, so a batched
-        commit records exactly the events the sequential path would.
-        Returns the degradation reasons (empty tuple = placed as asked).
+        :meth:`mem_alloc` calls this for every buffer it places.  A
+        buffer placed straight through the wrapped allocator can be
+        audited afterwards the same way, recording exactly the events
+        :meth:`mem_alloc` would have.  Returns the degradation reasons
+        (empty tuple = placed as asked).
         """
         reasons = self._degradation_reasons(
             buffer, attribute, initiator, scope, allow_partial

@@ -13,16 +13,16 @@ What the daemon adds on top of the allocator stack:
 * **Admission control** — a bounded pending window; overflow requests
   are rejected with typed events, never silently dropped or queued
   unboundedly.
-* **Batching** — concurrently arrived allocations coalesce onto the
-  ``mem_alloc_many`` fast path; the pinned batch≡sequential equivalence
-  makes this invisible to semantics.
+* **One writer** — a single commit task drains whatever arrived
+  concurrently and applies each request in order through the same
+  allocator route a lone ``mem_alloc`` takes.
 * **Determinism** — a sequenced server commits in schedule order behind
   a single writer, so concurrent replays are bit-identical to serial
   ones (``repro-serve --selftest`` proves it; so does the 100-seed sweep
   in ``tests/serve/test_differential.py``).
 """
 
-from .batcher import AllocRun, Sequencer, Single, coalesce
+from .batcher import Sequencer
 from .protocol import (
     ERROR_CODES,
     Request,
@@ -53,7 +53,6 @@ from .server import (
 from .session import QuotaLedger, TenantSession
 
 __all__ = [
-    "AllocRun",
     "ERROR_CODES",
     "QuotaLedger",
     "ReproServeServer",
@@ -63,12 +62,10 @@ __all__ = [
     "Sequencer",
     "ServeClient",
     "ServeCore",
-    "Single",
     "StreamServeClient",
     "StreamServer",
     "TenantSession",
     "VERBS",
-    "coalesce",
     "decode_request",
     "decode_response",
     "encode_request",

@@ -1,33 +1,22 @@
-"""Request ordering and batch coalescing for the commit stage.
+"""Request ordering for the commit stage.
 
-Two small, pure components that the correctness argument leans on:
+:class:`Sequencer` is a reorder buffer releasing requests in dense
+global ``seq`` order.  With it, the single-writer commit loop applies
+kernel mutations in schedule order *no matter how tenants' submissions
+interleave*, which is what makes a concurrent run bit-identical to a
+serial replay of the same schedule.
 
-* :class:`Sequencer` — a reorder buffer releasing requests in dense
-  global ``seq`` order.  With it, the single-writer commit loop applies
-  kernel mutations in schedule order *no matter how tenants' submissions
-  interleave*, which is what makes a concurrent run bit-identical to a
-  serial replay of the same schedule.
-* :func:`coalesce` — partition a drained run of requests into maximal
-  runs of ``alloc`` verbs (one ``mem_alloc_many`` fast-path commit each)
-  and singles for everything else, **preserving input order exactly**.
-  Because ``mem_alloc_many`` is pinned bit-identical to its sequential
-  replay (``tests/kernel/test_batch_ordered.py``), any partition of the
-  same ordered run commits the same final state — coalescing is a pure
-  throughput decision, never a semantic one.
-
-Both are synchronous and allocation-free so the hypothesis suite can
-hammer them directly (``tests/serve/test_properties.py``).
+It is synchronous and allocation-free so the hypothesis suite can
+hammer it directly (``tests/serve/test_properties.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 from ..errors import ServeError
-from .protocol import Request
 
-__all__ = ["AllocRun", "Sequencer", "Single", "coalesce"]
+__all__ = ["Sequencer"]
 
 _T = TypeVar("_T")
 
@@ -77,39 +66,3 @@ class Sequencer(Generic[_T]):
         items = [self._held[seq] for seq in sorted(self._held)]
         self._held.clear()
         return items
-
-
-@dataclass(frozen=True)
-class AllocRun:
-    """A maximal run of consecutive ``alloc`` requests — one batch commit."""
-
-    items: tuple[Request, ...]
-
-
-@dataclass(frozen=True)
-class Single:
-    """Any non-``alloc`` request, applied on its own."""
-
-    item: Request
-
-
-def coalesce(requests: list[Request]) -> list[AllocRun | Single]:
-    """Partition an ordered run into alloc batches and singles.
-
-    Flattening the result reproduces the input exactly (the FIFO law the
-    property suite pins): coalescing changes *how* allocations commit,
-    never their order — per tenant or globally.
-    """
-    out: list[AllocRun | Single] = []
-    run: list[Request] = []
-    for request in requests:
-        if request.verb == "alloc":
-            run.append(request)
-            continue
-        if run:
-            out.append(AllocRun(items=tuple(run)))
-            run = []
-        out.append(Single(item=request))
-    if run:
-        out.append(AllocRun(items=tuple(run)))
-    return out

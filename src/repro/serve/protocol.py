@@ -15,8 +15,8 @@ close      ``{}`` — free every buffer the tenant still holds, release
 alloc      ``{handle, size, attribute, initiator, allow_partial?,
            allow_fallback?, scope?}`` — one placed buffer, tracked
            under the tenant-chosen handle.
-alloc_many ``{requests: [<alloc payload>, ...]}`` — a batch with
-           per-request outcomes (the coalescing fast path).
+alloc_many ``{requests: [<alloc payload>, ...]}`` — several allocs in
+           order, with per-request outcomes.
 free       ``{handle}``
 query      ``{attribute, initiator, scope?}`` — generation-tagged
            ranking read (never mutates state).

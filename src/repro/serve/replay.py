@@ -276,7 +276,7 @@ def event_signature(core: ServeCore) -> list[tuple[str, str, str]]:
 
 
 def _strip_diagnostics(result: dict[str, Any] | None) -> dict[str, Any] | None:
-    """Drop run-dependent fields (cache hit ratios vary with batching)."""
+    """Drop run-dependent fields (cache counters reflect stack history)."""
     if result is None:
         return None
     return {k: v for k, v in result.items() if k != "diagnostics"}

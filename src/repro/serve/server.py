@@ -10,17 +10,16 @@ Two layers, deliberately separable:
 * :class:`ReproServeServer` — the asyncio transport: admission control
   with a bounded pending window, an optional :class:`~.batcher.Sequencer`
   for schedule-order commits, and a single commit task that drains
-  concurrently-arrived requests and coalesces runs of ``alloc`` verbs
-  onto the ``mem_alloc_many`` fast path.
+  concurrently-arrived requests and applies each in order.
 
 The determinism contract (pinned by ``tests/serve/test_differential.py``):
 with sequenced commits, any arrival interleaving of a request schedule
 produces final kernel page maps, free-page counters, responses, and
 typed-event logs bit-identical to the same schedule applied serially.
 The argument has two legs — the single writer applies mutations in
-``seq`` order, and ``mem_alloc_many`` is itself pinned bit-identical to
-its sequential replay, so batch *boundaries* (which depend on arrival
-timing) cannot change outcomes.
+``seq`` order, and a commit applies its requests one by one through the
+same ``apply`` the serial replay uses, so commit *boundaries* (which
+depend on arrival timing) cannot change outcomes.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
-from ..alloc.allocator import AllocRequest, Buffer, HeterogeneousAllocator
+from ..alloc.allocator import Buffer, HeterogeneousAllocator
 from ..core.querycache import consistent_read
 from ..errors import ProtocolError, ReproError, ServeError
 from ..obs import OBS
@@ -84,30 +82,11 @@ def _err(request: Request, code: str, message: str) -> Response:
     )
 
 
-@dataclass
-class _StagedAlloc:
-    """One alloc request pre-admitted into the pending batch commit."""
-
-    idx: int
-    request: Request
-    areq: AllocRequest
-    tenant: str
-    handle: str
-    pages: int
-    attribute: str
-    initiator: int
-    scope: str
-    allow_partial: bool
-    subject: str
-
-
 class ServeCore:
     """Synchronous service state machine (sessions, quotas, kernel ops).
 
-    ``apply`` handles one request through the plain sequential path;
-    ``apply_run`` handles an ordered run, coalescing eligible ``alloc``
-    requests onto one ``mem_alloc_many`` commit with an exact sequential
-    fallback.  Both record the same typed events in the same order.
+    ``apply`` handles one request; ``apply_run`` handles an ordered run
+    (one commit) by applying each request in turn.
     """
 
     def __init__(
@@ -157,131 +136,26 @@ class ServeCore:
     # entry points
     # ------------------------------------------------------------------
     def apply(self, request: Request) -> Response:
-        """Apply one request through the sequential reference path."""
+        """Apply one request: count its verb, then dispatch it."""
         self._count(request.verb)
         return self._dispatch(request)
 
     def apply_run(self, requests: list[Request]) -> list[Response]:
-        """Apply an ordered run, batching eligible allocs.
+        """Apply an ordered run, each request exactly as ``apply`` would.
 
         This is the commit stage's entry point: the run is whatever was
         concurrently pending when the writer woke up, already in commit
-        order.  Outcomes are defined to equal ``apply`` per element.
+        order.
         """
         if not OBS.enabled:
-            return self._run_staged(requests)
+            return [self.apply(request) for request in requests]
         with OBS.tracer.span("serve.commit", requests=len(requests)):
             OBS.metrics.counter("serve.commits").inc()
             OBS.metrics.histogram("serve.commit_size").observe(len(requests))
-            return self._run_staged(requests)
-
-    def _run_staged(self, requests: list[Request]) -> list[Response]:
-        out: list[Response | None] = [None] * len(requests)
-        staged: list[_StagedAlloc] = []
-        for i, request in enumerate(requests):
-            # Counted here (iteration order == seq order) so a `stats`
-            # mid-run reads exactly the counts its serial twin would.
-            self._count(request.verb)
-            if request.verb == "alloc":
-                stage = self._stage_alloc(i, request, staged)
-                if stage is not None:
-                    staged.append(stage)
-                    continue
-            # Anything unstageable settles the pending batch first so its
-            # own checks (quota headroom, handle uniqueness) see exactly
-            # the state the sequential path would.
-            self._flush(staged, out)
-            out[i] = self._dispatch(request)
-        self._flush(staged, out)
-        return [r for r in out if r is not None]
-
-    def _stage_alloc(
-        self, idx: int, request: Request, staged: list[_StagedAlloc]
-    ) -> _StagedAlloc | None:
-        """Admit one alloc into the pending batch, or None to defer.
-
-        Staging tentatively charges the ledger so later requests in the
-        same run see post-success headroom; the charge is undone exactly
-        if the batch falls back.  ``None`` means "settle the batch and
-        route this request through the sequential path" — used for every
-        kind of pre-check failure so rejections are decided against
-        settled state.
-        """
-        spec = self._parse_alloc_payload(request)
-        if isinstance(spec, str):
-            return None
-        handle, size, attribute, initiator, allow_partial, allow_fallback, scope = spec
-        session = self.sessions.get(request.tenant)
-        if session is None:
-            return None
-        if handle in session.buffers or any(
-            s.tenant == request.tenant and s.handle == handle for s in staged
-        ):
-            return None
-        pages = self.pages_for(size)
-        if self.ledger.would_exceed(request.tenant, pages):
-            return None
-        self.ledger.charge(request.tenant, pages)
-        return _StagedAlloc(
-            idx=idx,
-            request=request,
-            areq=AllocRequest(
-                size=size,
-                attribute=attribute,
-                initiator=initiator,
-                allow_partial=allow_partial,
-                allow_fallback=allow_fallback,
-                scope=scope,
-            ),
-            tenant=request.tenant,
-            handle=handle,
-            pages=pages,
-            attribute=attribute,
-            initiator=initiator,
-            scope=scope,
-            allow_partial=allow_partial,
-            subject=f"{request.tenant}/{handle}",
-        )
-
-    def _flush(
-        self, staged: list[_StagedAlloc], out: list[Response | None]
-    ) -> None:
-        """Commit the pending batch; exact sequential fallback on error."""
-        if not staged:
-            return
-        try:
-            buffers = self.allocator.mem_alloc_many([s.areq for s in staged])
-        except ReproError:
-            # All-or-nothing rollback already restored kernel state; undo
-            # the tentative ledger charges and replay the run through the
-            # sequential path, which re-checks and re-charges per op.
-            for stage in staged:
-                self.ledger.release(stage.tenant, stage.pages)
-            for stage in staged:
-                out[stage.idx] = self._dispatch(stage.request)
-            staged.clear()
-            return
-        if OBS.enabled:
-            OBS.metrics.counter("serve.batched_allocs").inc(len(staged))
-        for stage, buffer in zip(staged, buffers):
-            session = self.sessions[stage.tenant]
-            session.buffers[stage.handle] = buffer
-            session.allocs += 1
-            reasons = self.rallocator.record_degradation(
-                buffer,
-                stage.attribute,
-                stage.initiator,
-                scope=stage.scope,
-                allow_partial=stage.allow_partial,
-                subject=stage.subject,
-            )
-            out[stage.idx] = _ok(
-                stage.request, self._alloc_result(stage.handle, buffer, reasons)
-            )
-        staged.clear()
+            return [self.apply(request) for request in requests]
 
     # ------------------------------------------------------------------
-    # verb dispatch (sequential reference semantics)
+    # verb dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, request: Request) -> Response:
         if request.verb not in VERBS:
@@ -484,7 +358,7 @@ class ServeCore:
             )
             for spec in specs
         ]
-        results = self._run_staged(children)
+        results = [self.apply(child) for child in children]
         return _ok(
             request,
             {
@@ -624,8 +498,9 @@ class ServeCore:
                 },
                 "live_allocations": len(self.kernel.live_allocations()),
             },
-            # Run-dependent diagnostics: cache hit counts vary with batch
-            # partitioning, so differential comparisons strip this key.
+            # Run-dependent diagnostics: cache counters reflect the whole
+            # stack's history (a shared or pre-warmed attribute store), not
+            # only this schedule, so differential comparisons strip this key.
             "diagnostics": {
                 "cache": self.allocator.cache_stats(),
                 "generation": self.memattrs.generation,
@@ -673,7 +548,7 @@ class ReproServeServer:
         )
         self._pending = 0
         self._running = False
-        # Transport-level batching stats (run-dependent; not part of the
+        # Transport-level commit stats (run-dependent; not part of the
         # deterministic stats verb).
         self.commits = 0
         self.committed_requests = 0
@@ -708,7 +583,7 @@ class ReproServeServer:
         return self._pending
 
     def transport_stats(self) -> dict[str, float]:
-        """Batching effectiveness (mean requests per commit wake-up)."""
+        """Commit grouping (mean requests per commit wake-up)."""
         return {
             "commits": self.commits,
             "committed_requests": self.committed_requests,

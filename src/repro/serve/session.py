@@ -32,9 +32,8 @@ class QuotaLedger:
     """Per-tenant page accounting against optional fixed quotas.
 
     The ledger is deliberately kernel-free: ``charge`` happens only
-    after a kernel allocation succeeded (or tentatively during a batch
-    pre-pass, undone exactly on batch fallback), ``release`` only when a
-    buffer is freed.  ``None`` quota means unmetered.
+    after a kernel allocation succeeded, ``release`` only when a buffer
+    is freed.  ``None`` quota means unmetered.
     """
 
     def __init__(self) -> None:

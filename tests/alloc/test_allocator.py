@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.alloc import AllocRequest
 from repro.errors import AllocationError, CapacityError
 from repro.units import GB
 
@@ -53,6 +54,23 @@ class TestBasicAllocation:
     def test_invalid_size(self, xeon_allocator):
         with pytest.raises(AllocationError):
             xeon_allocator.mem_alloc(0, "Latency", 0)
+
+    def test_invalid_size_refused_on_a_warm_plan(self, xeon_allocator):
+        """A memoized plan (and a pooled buffer) must not let zero or
+        negative sizes through, and a refusal leaves the kernel as it was."""
+        kernel = xeon_allocator.kernel
+        xeon_allocator.free(xeon_allocator.mem_alloc(1 * GB, "Bandwidth", 0))
+        before = [int(x) for x in kernel.free_pages_array()]
+        for size in (0, -4096):
+            with pytest.raises(AllocationError, match="must be positive"):
+                xeon_allocator.mem_alloc(size, "Bandwidth", 0)
+            with pytest.raises(AllocationError, match="must be positive"):
+                xeon_allocator.mem_alloc_many(
+                    [AllocRequest(size=size, attribute="Bandwidth", initiator=0)]
+                )
+        assert [int(x) for x in kernel.free_pages_array()] == before
+        assert not kernel.live_allocations()
+        assert not xeon_allocator.buffers
 
 
 class TestTargetFallback:
@@ -140,6 +158,21 @@ class TestMigrate:
     def test_migrate_unknown_buffer(self, knl_allocator):
         with pytest.raises(AllocationError):
             knl_allocator.migrate("ghost", "Latency")
+
+    def test_migrated_buffer_leaves_its_plan(self, xeon_allocator):
+        """Bandwidth and Latency both pick DRAM node 0 on the Xeon, so the
+        migrate moves nothing but re-labels the buffer.  Freed, it must
+        not come back from the Bandwidth plan's pool."""
+        first = xeon_allocator.mem_alloc(1 * GB, "Bandwidth", 0)
+        report = xeon_allocator.migrate(first, "Latency")
+        assert report.moved_pages == 0
+        assert first.used_attribute == "Latency"
+        xeon_allocator.free(first)
+        again = xeon_allocator.mem_alloc(1 * GB, "Bandwidth", 0)
+        assert again is not first
+        assert again.requested_attribute == again.used_attribute == "Bandwidth"
+        assert again.target.os_index == 0
+        xeon_allocator.free(again)
 
 
 class TestPlacementExport:

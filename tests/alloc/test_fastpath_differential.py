@@ -1,35 +1,49 @@
-"""The warm fast path never changes a placement — differential proof.
+"""The plan route never changes a placement — differential proof.
 
-The allocator's hot path (plan cache, buffer pool recycling, and the two
-batch commit passes) is gated on ``memattrs.query_cache.enabled``;
-turning the cache off forces every request down the original legacy
-route.  For ~100 seeded random machines this suite replays the same
-interleaved alloc/free/batch scenario down both routes and asserts every
-externally visible outcome is **bit-identical**: used attribute,
-fallback rank, primary target, the full page map of every allocation,
-raised error types, and the kernel's final free-page counters.
+Production allocation is one route: a plan per ``(attribute,
+initiator, scope)`` triple, memoized while the query cache is on, with a
+recycling pool in front of it.  ``legacy_oracle.py`` keeps the body that
+route replaced, which re-derives everything on every call.  For ~100
+seeded random machines this suite replays one interleaved scenario on
+three twin stacks:
+
+* ``memo``   — production, plan memo and pool engaged;
+* ``nomemo`` — production with ``memattrs.query_cache.enabled = False``,
+  so every request rebuilds its plan;
+* ``oracle`` — the legacy body (cache off as well).
+
+The scenario mixes allocs (named, spill, strict, zero and negative
+sizes), frees, batches, migrate → free → re-alloc cycles, node
+offline/online, co-tenant capacity loss and release, and attribute
+value updates.  Every externally visible outcome must be bit-identical:
+used attribute, fallback rank, primary target, the full page map of
+every allocation, raised error types (and messages for allocation
+errors), and the kernel's final free-page counters.
 
 Buffer *names* are deliberately excluded: the pool recycles Buffer
-objects (names and all) while the legacy path mints fresh ones, and the
-name generator is a process-global counter.  Names are handles, not
+objects (names and all) while the other routes mint fresh ones, and the
+name generators are process-global counters.  Names are handles, not
 placement decisions.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.alloc import AllocRequest, HeterogeneousAllocator
 from repro.core import MemAttrs, native_discovery
-from repro.errors import ReproError
+from repro.errors import CapacityError, ReproError
 from repro.kernel import KernelMemoryManager
 from repro.topology import build_topology
 from repro.units import GB, MiB
 
+from tests.alloc import legacy_oracle
 from tests.obs.test_differential import random_machine
 
 N_SEEDS = 100
 ATTRIBUTES = ("Capacity", "Bandwidth", "Latency")
+MODES = ("memo", "nomemo", "oracle")
 
 
 def _note(sig: list, tag: str, buf) -> None:
@@ -40,28 +54,61 @@ def _note(sig: list, tag: str, buf) -> None:
             buf.used_attribute,
             buf.fallback_rank,
             None if buf.target is None else buf.target.os_index,
-            None
-            if alloc is None
-            else tuple(sorted(alloc.pages_by_node.items())),
+            tuple(sorted(alloc.pages_by_node.items())),
         )
     )
 
 
-def placement_signature(seed: int, *, cached: bool) -> list:
-    """Replay one seeded scenario; ``cached`` selects fast vs legacy."""
+def _drain_cannot_split(kernel: KernelMemoryManager, node: int) -> bool:
+    """Whether offlining ``node`` places every drained page the same way
+    whatever order the drain visits allocations in.
+
+    The drain walks live allocations by allocation id.  A recycled
+    buffer keeps its allocation record (and id) while the oracle mints a
+    fresh one, so when the drain has to split across destinations, which
+    buffer splits follows record age, not any placement decision.  It
+    cannot split when the nearest online destination absorbs everything,
+    or when nothing fits and the drain is refused.
+    """
+    resident = sum(
+        a.pages_by_node.get(node, 0) for a in kernel.live_allocations()
+    )
+    dests = [d for d in kernel.zonelist(node)[1:] if kernel.is_online(d)]
+    free = [kernel.nodes[d].free_pages for d in dests]
+    return not dests or resident <= free[0] or resident > sum(free)
+
+
+def placement_signature(seed: int, *, mode: str, coverage: set | None = None) -> list:
+    """Replay one seeded scenario down one route (see :data:`MODES`).
+
+    ``coverage`` collects tags naming the interesting paths the replay
+    hit, for the coverage guard below.
+    """
     rng = random.Random(seed)
     machine = random_machine(rng)
     topo = build_topology(machine)
     memattrs = native_discovery(topo) if machine.has_hmat else MemAttrs(topo)
-    memattrs.query_cache.enabled = cached
+    memattrs.query_cache.enabled = mode == "memo"
     kernel = KernelMemoryManager(machine)
     allocator = HeterogeneousAllocator(memattrs, kernel)
+    if mode == "oracle":
+        mem_alloc = partial(legacy_oracle.mem_alloc, allocator)
+        mem_alloc_many = partial(legacy_oracle.mem_alloc_many, allocator)
+        free = partial(legacy_oracle.free, allocator)
+    else:
+        mem_alloc = allocator.mem_alloc
+        mem_alloc_many = allocator.mem_alloc_many
+        free = allocator.free
+    seen = set() if coverage is None else coverage
     npus = machine.total_pus
+    nodes = kernel.node_ids()
     sig: list = []
-    live: list = []
+    live: list = []        # (buffer, (size, attribute, initiator, scope))
+    freed: list = []       # keeps freed buffers alive so id() stays unique
+    freed_ids: set = set()
 
     # A small set of recurring request shapes: repeats are what warm the
-    # plan cache and feed the recycling pool.
+    # plan memo and feed the recycling pool.
     canon = [
         (
             rng.choice((rng.randint(1, 256) * MiB, rng.randint(1, 16) * GB)),
@@ -75,33 +122,49 @@ def placement_signature(seed: int, *, cached: bool) -> list:
     def draw():
         return rng.choice(canon)
 
-    for step in range(rng.randint(20, 35)):
+    def placed(tag, buf, shape):
+        _note(sig, tag, buf)
+        live.append((buf, shape))
+        if id(buf) in freed_ids:
+            seen.add("recycle")
+        if buf.is_split:
+            seen.add("spill")
+
+    def release(buf):
+        free(buf)
+        freed.append(buf)
+        freed_ids.add(id(buf))
+        sig.append(("free",))
+
+    for step in range(rng.randint(30, 45)):
         op = rng.random()
-        if op < 0.55:
+        if op < 0.45:
             size, attr, initiator, scope = draw()
+            if rng.random() < 0.06:
+                size = rng.choice((0, -4096))          # refused on every route
             kwargs: dict = {"scope": scope}
             if rng.random() < 0.15:
-                kwargs["name"] = f"n{step}"        # named: legacy-only route
+                kwargs["name"] = f"n{step}"
             if rng.random() < 0.15:
-                kwargs["allow_partial"] = True     # spill route
+                kwargs["allow_partial"] = True
             if rng.random() < 0.10:
                 kwargs["allow_fallback"] = False
             try:
-                buf = allocator.mem_alloc(size, attr, initiator, **kwargs)
-                live.append(buf)
-                _note(sig, "buf", buf)
+                buf = mem_alloc(size, attr, initiator, **kwargs)
             except ReproError as exc:
-                sig.append(("err", type(exc).__name__))
-        elif op < 0.80 and live:
-            buf = live.pop(rng.randrange(len(live)))
-            allocator.free(buf)                    # feeds the pool when fast
-            sig.append(("free",))
-        else:
+                sig.append(("err", sorted(kwargs), type(exc).__name__, str(exc)))
+                if isinstance(exc, CapacityError) and "allow_fallback" in kwargs:
+                    seen.add("strict-failure")
+            else:
+                placed("buf", buf, (size, attr, initiator, scope))
+        elif op < 0.65 and live:
+            release(live.pop(rng.randrange(len(live)))[0])
+        elif op < 0.77:
             shape = rng.random()
             n = rng.randint(1, 4)
             reqs: list = []
             if shape < 0.45:
-                # Homogeneous AllocRequest batch: the whole-buffer commit.
+                # Homogeneous AllocRequest batch over the canon shapes.
                 for _ in range(n):
                     size, attr, initiator, scope = draw()
                     reqs.append(
@@ -111,7 +174,7 @@ def placement_signature(seed: int, *, cached: bool) -> list:
                         )
                     )
             elif shape < 0.65:
-                # Shared-triple partial batch: the vectorized spill commit.
+                # Shared-triple spill batch.
                 _, attr, initiator, scope = draw()
                 reqs = [
                     AllocRequest(
@@ -121,7 +184,7 @@ def placement_signature(seed: int, *, cached: bool) -> list:
                     for _ in range(n)
                 ]
             elif shape < 0.85:
-                # Dict requests: normalization in the sequential loop.
+                # Dict requests: normalization in the batch loop.
                 reqs = [
                     dict(
                         size=draw()[0],
@@ -131,8 +194,8 @@ def placement_signature(seed: int, *, cached: bool) -> list:
                     for _ in range(n)
                 ]
             else:
-                # Mixed shapes: the fast pass must undo its prefix and
-                # fall through, not leak or raise.
+                # Mixed shapes, sometimes with a refused size at the end:
+                # the rollback must restore every counter.
                 size, attr, initiator, scope = draw()
                 reqs = [
                     AllocRequest(
@@ -140,21 +203,81 @@ def placement_signature(seed: int, *, cached: bool) -> list:
                         initiator=initiator, scope=scope,
                     ),
                     dict(
-                        size=draw()[0],
+                        size=draw()[0] if rng.random() < 0.7 else 0,
                         attribute=rng.choice(ATTRIBUTES),
                         initiator=rng.randrange(npus),
                     ),
                 ]
             try:
-                bufs = allocator.mem_alloc_many(reqs)
-                live.extend(bufs)
-                for b in bufs:
-                    _note(sig, "batch", b)
+                bufs = mem_alloc_many(reqs)
             except ReproError as exc:
-                sig.append(("batch-err", type(exc).__name__))
+                sig.append(("batch-err", type(exc).__name__, str(exc)))
+            else:
+                for req, b in zip(reqs, bufs):
+                    r = AllocRequest(**req) if isinstance(req, dict) else req
+                    placed("batch", b, (r.size, r.attribute, r.initiator, r.scope))
+        elif op < 0.85 and live:
+            # migrate, then usually free and re-request the original shape:
+            # a buffer moved to another attribute must not come back
+            # from the original plan's pool under its new attribute.
+            i = rng.randrange(len(live))
+            buf, shape = live[i]
+            try:
+                report = allocator.migrate(buf, rng.choice(ATTRIBUTES))
+            except ReproError as exc:
+                sig.append(("migrate-err", type(exc).__name__))
+            else:
+                sig.append(("migrate", report.moved_pages, report.to_node))
+                _note(sig, "migrated", buf)
+            if rng.random() < 0.6:
+                del live[i]
+                release(buf)
+                size, attr, initiator, scope = shape
+                try:
+                    again = mem_alloc(size, attr, initiator, scope=scope)
+                except ReproError as exc:
+                    sig.append(("realloc-err", type(exc).__name__, str(exc)))
+                else:
+                    placed("realloc", again, shape)
+        elif op < 0.90:
+            node = rng.choice(nodes)
+            if not kernel.is_online(node):
+                kernel.online_node(node)
+                sig.append(("online", node))
+                seen.add("generation-bump")
+            elif len(kernel.online_node_ids()) > 1 and _drain_cannot_split(
+                kernel, node
+            ):
+                try:
+                    kernel.offline_node(node)
+                except ReproError as exc:
+                    sig.append(("offline-err", type(exc).__name__))
+                else:
+                    sig.append(("offline", node))
+                    seen.update(("offline", "generation-bump"))
+        elif op < 0.95:
+            node = rng.choice(nodes)
+            if rng.random() < 0.6:
+                pages = rng.randint(1, kernel.nodes[node].total_pages)
+                sig.append(("steal", node, kernel.cotenant_reserve(node, pages)))
+            else:
+                sig.append(("return", node, kernel.cotenant_release(node)))
+            seen.add("generation-bump")
+        else:
+            attr = rng.choice(ATTRIBUTES)
+            target = rng.choice(topo.numanodes())
+            if attr == "Capacity":
+                initiator, value = None, rng.randint(1, 64) * GB
+            elif attr == "Bandwidth":
+                initiator, value = rng.choice(topo.pus()), rng.uniform(1e9, 1e11)
+            else:
+                initiator, value = rng.choice(topo.pus()), rng.uniform(5e-8, 5e-7)
+            memattrs.set_value(attr, target, initiator, value)
+            sig.append(("set_value", attr, target.os_index))
+            seen.add("generation-bump")
 
     # The final kernel state must agree page-for-page: recycling and the
-    # vectorized commits may not drift the counters.
+    # rollbacks may not drift the counters.
     sig.append(("state", tuple(int(x) for x in kernel.free_pages_array())))
     sig.append(("live", len(kernel.live_allocations())))
     return sig
@@ -162,29 +285,38 @@ def placement_signature(seed: int, *, cached: bool) -> list:
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_fast_and_legacy_paths_place_identically(seed):
-    fast = placement_signature(seed, cached=True)
-    legacy = placement_signature(seed, cached=False)
-    assert fast == legacy
+    oracle = placement_signature(seed, mode="oracle")
+    assert placement_signature(seed, mode="memo") == oracle
+    assert placement_signature(seed, mode="nomemo") == oracle
 
 
 def test_scenarios_cover_the_interesting_paths():
-    """The sweep must hit errors, frees, batches and fallbacks — the
-    differential guarantee is only as strong as its coverage."""
+    """The sweep must hit every path the differential claims to cover —
+    the guarantee is only as strong as its coverage."""
     kinds: set[str] = set()
+    coverage: set[str] = set()
     fallbacks = 0
+    refused_sizes = 0
     for seed in range(N_SEEDS):
-        for entry in placement_signature(seed, cached=True):
+        for entry in placement_signature(seed, mode="memo", coverage=coverage):
             kinds.add(entry[0])
-            if entry[0] in ("buf", "batch") and entry[2] and entry[2] > 0:
+            if entry[0] in ("buf", "batch") and entry[2] > 0:
                 fallbacks += 1
-    assert {"buf", "batch", "free", "state"} <= kinds
-    assert "err" in kinds or "batch-err" in kinds
+            if entry[0] in ("err", "batch-err") and "must be positive" in entry[-1]:
+                refused_sizes += 1
+    assert {"buf", "batch", "free", "migrate", "realloc", "state"} <= kinds
+    assert {"err", "batch-err", "steal", "return", "set_value"} <= kinds
+    assert {"offline", "online"} <= kinds
     assert fallbacks > 0
+    assert refused_sizes > 0
+    assert {
+        "recycle", "spill", "strict-failure", "generation-bump", "offline"
+    } <= coverage
 
 
 def test_fast_path_actually_engages():
-    """Guard against the differential trivially passing because the fast
-    path never ran: a warm repeat must be served by the recycling pool."""
+    """Guard against the differential trivially passing because the memo
+    never ran: a warm repeat must be served by the recycling pool."""
     rng = random.Random(1234)
     machine = random_machine(rng)
     topo = build_topology(machine)
@@ -195,4 +327,4 @@ def test_fast_path_actually_engages():
     allocator.free(first)
     again = allocator.mem_alloc(8 * MiB, "Capacity", 0)
     assert again is first            # recycled object, not a lookalike
-    assert again._plan is not None   # placed by the plan-cache fast path
+    assert again._plan is not None   # placed by the memoized plan

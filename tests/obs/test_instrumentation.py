@@ -69,6 +69,17 @@ class TestAllocatorHooks:
         assert OBS.metrics.histogram("alloc.batch_size").sum == 3
         assert "mem_alloc_many" in _span_names()
 
+    def test_recycled_commit_counted_by_kernel_counters(self, xeon_allocator):
+        """A pool recycle never reaches the kernel; full tracing still
+        counts it as a page commit."""
+        obs.enable()
+        first = xeon_allocator.mem_alloc(64 * MiB, "Latency", 0)
+        xeon_allocator.free(first)
+        again = xeon_allocator.mem_alloc(64 * MiB, "Latency", 0)
+        assert again is first
+        assert OBS.metrics.value("kernel.allocations") == 2
+        assert OBS.metrics.value("kernel.pages_allocated") == 2 * (64 * MiB // 4096)
+
     def test_migrate_span(self, xeon_allocator):
         obs.enable()
         buf = xeon_allocator.mem_alloc(1 * GB, "Capacity", 0, name="mv")
@@ -115,6 +126,19 @@ class TestKernelHooks:
             OBS.metrics.value("kernel.pages_allocated") == alloc.total_pages
         )
         xeon_kernel.free(alloc)
+
+    def test_ordered_allocation_counters(self, xeon_kernel):
+        """A spill commit counts like any other: one ordered plus one
+        policy allocation read two allocations."""
+        obs.enable()
+        spill = xeon_kernel.allocate_ordered(1 * GB, (0, 2))
+        whole = xeon_kernel.allocate(1 * GB, bind_policy(0))
+        assert OBS.metrics.value("kernel.allocations") == 2
+        assert OBS.metrics.value("kernel.pages_allocated") == (
+            spill.total_pages + whole.total_pages
+        )
+        xeon_kernel.free(spill)
+        xeon_kernel.free(whole)
 
     def test_migration_estimate_histogram(self, xeon_kernel):
         obs.enable()

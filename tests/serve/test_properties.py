@@ -1,9 +1,7 @@
 """Property-based invariants of the daemon's pure components.
 
-Three laws carry the correctness argument (``docs/SERVE.md``):
+Two laws carry the correctness argument (``docs/SERVE.md``):
 
-* **FIFO coalescing** — partitioning a run into alloc batches and
-  singles reproduces the input exactly when flattened, for any verb mix;
 * **Sequencer** — any arrival permutation of a dense schedule is
   released in exactly schedule order, once, with duplicates refused;
 * **Quota ledger** — usage never goes negative, never crosses the
@@ -14,60 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ServeError
-from repro.serve import AllocRun, QuotaLedger, Request, Sequencer, Single, coalesce
-
-VERB_NAMES = ("open", "close", "alloc", "alloc_many", "free", "query", "migrate")
-
-requests = st.builds(
-    Request,
-    verb=st.sampled_from(VERB_NAMES),
-    tenant=st.sampled_from(["a", "b", "c"]),
-    id=st.integers(min_value=0, max_value=99),
-)
-
-
-# ----------------------------------------------------------------------
-# coalesce
-# ----------------------------------------------------------------------
-class TestCoalesceFifo:
-    @given(st.lists(requests, max_size=30))
-    def test_flatten_reproduces_input_exactly(self, reqs):
-        """The FIFO law: batching changes commit shape, never order."""
-        flat = []
-        for part in coalesce(reqs):
-            if isinstance(part, AllocRun):
-                flat.extend(part.items)
-            else:
-                flat.append(part.item)
-        assert flat == reqs
-
-    @given(st.lists(requests, max_size=30))
-    def test_runs_hold_only_allocs_and_singles_never_do(self, reqs):
-        for part in coalesce(reqs):
-            if isinstance(part, AllocRun):
-                assert part.items
-                assert all(r.verb == "alloc" for r in part.items)
-            else:
-                assert isinstance(part, Single)
-                assert part.item.verb != "alloc"
-
-    @given(st.lists(requests, max_size=30))
-    def test_runs_are_maximal(self, reqs):
-        """No two adjacent alloc batches — they would be one commit."""
-        parts = coalesce(reqs)
-        for left, right in zip(parts, parts[1:]):
-            assert not (
-                isinstance(left, AllocRun) and isinstance(right, AllocRun)
-            )
-
-    @given(st.lists(requests, max_size=30), st.sampled_from(["a", "b", "c"]))
-    def test_per_tenant_order_preserved(self, reqs, tenant):
-        flat = []
-        for part in coalesce(reqs):
-            flat.extend(part.items if isinstance(part, AllocRun) else [part.item])
-        mine = [r for r in reqs if r.tenant == tenant]
-        assert [r for r in flat if r.tenant == tenant] == mine
-
+from repro.serve import QuotaLedger, Sequencer
 
 # ----------------------------------------------------------------------
 # Sequencer

@@ -19,6 +19,7 @@ from repro.serve import (
     ReproServeServer,
     Request,
     ServeClient,
+    ServeCore,
     StreamServeClient,
     StreamServer,
 )
@@ -135,9 +136,8 @@ class TestQuotas:
         run(scenario())
 
     def test_quota_spans_batched_allocs(self, allocator):
-        """Tentative batch charges enforce the quota exactly like the
-        sequential path: 3 pending 4 MiB allocs against a 10 MiB quota
-        admit two and reject the third."""
+        """An ``alloc_many`` is charged request by request: 3 allocs of
+        4 MiB against a 10 MiB quota admit two and reject the third."""
 
         async def scenario():
             async with ReproServeServer(allocator) as server:
@@ -292,6 +292,28 @@ class TestVerbs:
                 assert moved.result["nodes"] == [best_latency]
 
         run(scenario())
+
+    def test_realloc_after_same_node_migrate_is_not_degraded(self, allocator):
+        """alloc Bandwidth → migrate to Latency (same DRAM node, nothing
+        moves) → free → alloc Bandwidth: the new buffer answers its own
+        request, with no degraded flag and no event."""
+        core = ServeCore(allocator)
+
+        def apply(verb, **payload):
+            return core.apply(Request(verb=verb, tenant="t", id=0, payload=payload))
+
+        assert apply("open").ok
+        spec = {"size": 8 * MiB, "attribute": "Bandwidth", "initiator": 0}
+        assert apply("alloc", handle="a", **spec).ok
+        moved = apply("migrate", handle="a", attribute="Latency")
+        assert moved.ok and moved.result["moved_pages"] == 0
+        assert apply("free", handle="a").ok
+        again = apply("alloc", handle="b", **spec)
+        assert again.ok
+        assert again.result["used_attribute"] == "Bandwidth"
+        assert not again.result["degraded"]
+        assert again.result["reasons"] == []
+        assert not core.log.of_kind(EventKind.PLACEMENT_DEGRADED)
 
     def test_stats_reports_sessions_ledger_and_kernel(self, allocator):
         async def scenario():
