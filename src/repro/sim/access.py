@@ -27,17 +27,23 @@ class PatternKind(enum.Enum):
 
     @property
     def is_latency_bound(self) -> bool:
-        return self in (PatternKind.RANDOM, PatternKind.POINTER_CHASE)
+        return self in _LATENCY_BOUND
 
     @property
     def cpu_mlp(self) -> float:
         """Memory-level parallelism one thread extracts for this pattern."""
-        return {
-            PatternKind.STREAM: 16.0,
-            PatternKind.STRIDED: 12.0,
-            PatternKind.RANDOM: 8.0,
-            PatternKind.POINTER_CHASE: 1.0,
-        }[self]
+        return _CPU_MLP[self]
+
+
+# Pattern traits as module tables: reading an enum member off its class
+# costs more than the lookup itself.
+_LATENCY_BOUND = (PatternKind.RANDOM, PatternKind.POINTER_CHASE)
+_CPU_MLP = {
+    PatternKind.STREAM: 16.0,
+    PatternKind.STRIDED: 12.0,
+    PatternKind.RANDOM: 8.0,
+    PatternKind.POINTER_CHASE: 1.0,
+}
 
 
 @dataclass(frozen=True)

@@ -651,6 +651,7 @@ class SimEngine:
         phase = prepared.phase
         pus = prepared.pus
         threads = phase.threads
+        splits = [placement.of(access.buffer) for access, _ in prepared.filtered]
 
         node_traffic: dict[int, NodeTraffic] = {}
         buffer_timings: dict[str, BufferTiming] = {}
@@ -658,38 +659,43 @@ class SimEngine:
         # Working set landing on each node (for write-buffer / TLB terms).
         node_ws: dict[int, float] = {}
         node_write_ws: dict[int, float] = {}
-        for access in phase.accesses:
-            for node, frac in placement.of(access.buffer).items():
-                node_ws[node] = node_ws.get(node, 0.0) + access.working_set * frac
-                if access.bytes_written > 0:
-                    node_write_ws[node] = (
-                        node_write_ws.get(node, 0.0) + access.working_set * frac
-                    )
+        for (access, _), split in zip(prepared.filtered, splits):
+            ws = access.working_set
+            written = access.bytes_written > 0
+            for node, frac in split.items():
+                node_ws[node] = node_ws.get(node, 0.0) + ws * frac
+                if written:
+                    node_write_ws[node] = node_write_ws.get(node, 0.0) + ws * frac
 
         # The loaded latency of a node is fixed for the whole phase (it
         # depends on the node's total working set, not on which access is
         # paying it), so resolve it at most once per node.
         lat_memo: dict[int, float] = {}
 
-        for access, filtered in prepared.filtered:
+        for (access, filtered), split in zip(prepared.filtered, splits):
+            pattern = access.pattern
             bt = BufferTiming(
                 buffer=access.buffer,
-                pattern=access.pattern,
+                pattern=pattern,
                 miss_count=filtered.miss_count,
                 traffic_bytes=filtered.memory_read_bytes + filtered.memory_write_bytes,
                 llc_hit_fraction=filtered.hit_fraction,
             )
-            for node, frac in placement.of(access.buffer).items():
+            latency_bound = pattern.is_latency_bound
+            if latency_bound:
+                cpu_mlp = pattern.cpu_mlp
+            for node, frac in split.items():
                 bt.nodes[node] = frac
-                nt = node_traffic.setdefault(node, NodeTraffic(node=node))
-                if access.pattern.is_latency_bound:
+                nt = node_traffic.get(node)
+                if nt is None:
+                    nt = node_traffic[node] = NodeTraffic(node=node)
+                if latency_bound:
                     nt.random_bytes += bt.traffic_bytes * frac
                     lat = lat_memo.get(node)
                     if lat is None:
-                        lat = self._node_latency(node, pus, node_ws.get(node, 0.0))
+                        lat = self._node_latency(node, pus, node_ws[node])
                         lat_memo[node] = lat
-                    inst = self._nodes[node]
-                    mlp = threads * min(access.pattern.cpu_mlp, inst.tech.max_mlp)
+                    mlp = threads * min(cpu_mlp, self._nodes[node].tech.max_mlp)
                     lat_time = filtered.miss_count * frac * lat / mlp
                     bt.latency_seconds += lat_time
                     nt.stall_seconds += lat_time
@@ -700,9 +706,8 @@ class SimEngine:
 
         # Per-node bandwidth time.
         for node, nt in node_traffic.items():
-            lat, rbw, wbw = self._node_bandwidths(
-                node, pus, node_ws.get(node, 0.0), node_write_ws.get(node, 0.0),
-                threads,
+            _, rbw, wbw = self._node_bandwidths(
+                node, pus, node_ws[node], node_write_ws.get(node, 0.0), threads
             )
             inst = self._nodes[node]
             random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction

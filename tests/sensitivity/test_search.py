@@ -121,6 +121,20 @@ class TestSearch:
                 default_node=0, pus=XEON_PUS, top_k=4,
             )
 
+    def test_duplicate_critical_buffers_rejected(self, xeon_engine, g500_setup):
+        """A repeated critical buffer used to double the space and yield
+        contradictory candidates, priced at its last position and charged
+        twice against node capacity."""
+        phases, sizes = g500_setup
+        with pytest.raises(
+            ReproError, match=r"duplicate critical buffers: \['parent'\]"
+        ):
+            search_placements(
+                xeon_engine, phases, sizes, (0, 2), default_node=0,
+                critical_buffers=("parent", "parent", "frontier"),
+                pus=XEON_PUS,
+            )
+
     def test_infeasible_everything_raises(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         with pytest.raises(ReproError):
@@ -557,7 +571,7 @@ class TestBatchLeafPath:
         batch_out, _ = space.run(top_k=None, budget=None, prune=False)
         memo_after_batch = dict(space.memo)
         lazy = {
-            tuple(cmb): space.price_assignment(dict(zip(space.critical, cmb)))
+            tuple(cmb): space.price_combo(cmb + (space.default_node,))
             for _, cmb in batch_out
         }
         assert space.memo == memo_after_batch  # everything was memoized

@@ -89,6 +89,11 @@ class TestSearchCli:
         err = capsys.readouterr().err
         assert "duplicate candidate nodes: [0]" in err
 
+    def test_search_duplicate_critical_fail(self, capsys):
+        assert search_main(["--critical", "parent,parent,frontier"]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate critical buffers: ['parent']" in err
+
     def test_search_no_prune(self, capsys):
         assert search_main(["--no-prune", "--top-k", "1"]) == 0
         out = capsys.readouterr().out
