@@ -7,15 +7,8 @@ contention.  This bench quantifies both effects with the
 processor-sharing contention model.
 """
 
-import json
-import os
-import pathlib
-import time
-
 import pytest
 
-import repro
-import repro.sim.contention as contention_mod
 from repro.sim import (
     BufferAccess,
     ConcurrentJob,
@@ -23,29 +16,10 @@ from repro.sim import (
     PatternKind,
     Placement,
     price_concurrent,
-    price_concurrent_batch,
 )
 from repro.units import GB
 
-RESULTS_JSON = (
-    pathlib.Path(__file__).parent / "results" / "BENCH_multitenant.json"
-)
-
-# REPRO_BENCH_QUICK=1 shrinks the timing loops for CI smoke runs.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
 XEON_PUS = tuple(range(40))
-
-_results: dict[str, dict] = {}
-
-
-def _timed(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _job(name, node, nbytes=8 * GB, threads=10):
@@ -134,123 +108,3 @@ def test_when_isolation_wins(benchmark, record, xeon_setup):
     # Both options complete; the table records which side of the crossover
     # this platform's numbers fall on.
     assert all(s > 0 and p > 0 for s, p in results.values())
-
-
-def test_batched_contention_cost(record, xeon_setup, monkeypatch):
-    """Contention-pricing step cost: compiled batch vs scalar solo pricing.
-
-    Eight tenants share one phase shape, so the solo-pricing stage of the
-    processor-sharing model collapses to one ``price_placements_batch``
-    call; scenario sweeps (placement what-ifs over the same tenants)
-    batch across scenarios too.  Outcomes are asserted identical before
-    timing."""
-    engine = xeon_setup.engine
-    # The speedup depends on the group size (4 tenants barely amortize the
-    # tensor build), so QUICK shrinks the timing rounds, not the job count.
-    n_jobs = 8
-    rounds = 20 if QUICK else 60
-    shape = KernelPhase(
-        name="tenant",
-        threads=10,
-        accesses=(
-            BufferAccess(
-                buffer="b",
-                pattern=PatternKind.STREAM,
-                bytes_read=8 * GB,
-                working_set=8 * GB,
-            ),
-        ),
-    )
-    jobs = tuple(
-        ConcurrentJob(
-            name=f"t{i}",
-            phase=shape,
-            placement=Placement.single(b=0 if i % 2 else 2),
-            pus=XEON_PUS,
-        )
-        for i in range(n_jobs)
-    )
-    scenarios = tuple(
-        tuple(
-            Placement.single(b=0 if (i + shift) % 2 else 2)
-            for i in range(n_jobs)
-        )
-        for shift in range(4)
-    )
-
-    batched = price_concurrent(engine, jobs)
-    scenario_batched = price_concurrent_batch(engine, jobs, scenarios)
-    monkeypatch.setattr(contention_mod, "_BATCH_MIN_JOBS", 10**9)
-    assert price_concurrent(engine, jobs) == batched
-    scenario_scalar_outcomes = price_concurrent_batch(engine, jobs, scenarios)
-    assert scenario_scalar_outcomes == scenario_batched
-    monkeypatch.undo()
-
-    batch_s = _timed(
-        lambda: [price_concurrent(engine, jobs) for _ in range(rounds)]
-    )
-    scenario_batch_s = _timed(
-        lambda: [
-            price_concurrent_batch(engine, jobs, scenarios)
-            for _ in range(rounds)
-        ]
-    )
-    monkeypatch.setattr(contention_mod, "_BATCH_MIN_JOBS", 10**9)
-    scalar_s = _timed(
-        lambda: [price_concurrent(engine, jobs) for _ in range(rounds)]
-    )
-    scenario_scalar_s = _timed(
-        lambda: [
-            price_concurrent_batch(engine, jobs, scenarios)
-            for _ in range(rounds)
-        ]
-    )
-    monkeypatch.undo()
-
-    per_call = {
-        "batch_us": round(batch_s / rounds * 1e6, 1),
-        "scalar_us": round(scalar_s / rounds * 1e6, 1),
-        "speedup": round(scalar_s / batch_s, 2),
-    }
-    per_sweep = {
-        "batch_us": round(scenario_batch_s / rounds * 1e6, 1),
-        "scalar_us": round(scenario_scalar_s / rounds * 1e6, 1),
-        "speedup": round(scenario_scalar_s / scenario_batch_s, 2),
-    }
-    _results["contention_step"] = {
-        "jobs": n_jobs,
-        "scenarios": len(scenarios),
-        # Timing-loop shape: quick runs time fewer rounds, so their
-        # speedup factors are noisier and must not gate against a
-        # full-shape baseline — the regression check skips on mismatch.
-        "rounds": rounds,
-        "quick": QUICK,
-        "price_concurrent": per_call,
-        "scenario_sweep": per_sweep,
-    }
-    record(
-        "multitenant_batch_cost",
-        f"{n_jobs} tenants: price_concurrent batch "
-        f"{per_call['batch_us']:.0f} us vs scalar "
-        f"{per_call['scalar_us']:.0f} us ({per_call['speedup']:.1f}x)\n"
-        f"{len(scenarios)}-scenario sweep: batch "
-        f"{per_sweep['batch_us']:.0f} us vs scalar "
-        f"{per_sweep['scalar_us']:.0f} us ({per_sweep['speedup']:.1f}x)",
-    )
-    # The batched paths must never lose to the scalar fallback.
-    assert per_call["speedup"] >= 1.0
-    assert per_sweep["speedup"] >= 1.0
-
-
-def test_write_json(results_dir):
-    """Archive whatever ran — REPRO_BENCH_QUICK=1 included.
-
-    Quick runs used to poison the committed baseline silently: they
-    archived the same shape keys as a full run, so the regression gate
-    compared their noisy 20-round factors against 60-round baselines.
-    The shape now rides along (``rounds``/``quick``) and the gate
-    shape-skips mismatched runs instead of false-failing.
-    """
-    assert _results, "multitenant benches must run first"
-    RESULTS_JSON.write_text(json.dumps(_results, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}" + (" (quick shape)" if QUICK else ""))

@@ -18,10 +18,7 @@ scalar on the same host, machine-independent like the obs factor):
 
 * ``speedup_tensor`` / ``speedup_e2e`` per preset in
   ``BENCH_pricing_batch.json``;
-* ``priced_step.speedup`` in ``BENCH_autotier.json``;
-* ``contention_step.price_concurrent.speedup`` and
-  ``contention_step.scenario_sweep.speedup`` in
-  ``BENCH_multitenant.json``.
+* ``priced_step.speedup`` in ``BENCH_autotier.json``.
 
 The online-guidance baseline gates on another modeled-time factor:
 
@@ -53,7 +50,6 @@ OBS_JSON = "BENCH_obs_overhead.json"
 SEARCH_JSON = "BENCH_search_scaling.json"
 PRICING_JSON = "BENCH_pricing_batch.json"
 AUTOTIER_JSON = "BENCH_autotier.json"
-MULTITENANT_JSON = "BENCH_multitenant.json"
 SERVE_JSON = "BENCH_serve.json"
 GUIDANCE_JSON = "BENCH_guidance.json"
 
@@ -200,39 +196,6 @@ def check_autotier(fresh: dict, base: dict, tolerance: float) -> list[str]:
     return failures
 
 
-def check_multitenant(fresh: dict, base: dict, tolerance: float) -> list[str]:
-    failures: list[str] = []
-    base_step = base.get("contention_step")
-    fresh_step = fresh.get("contention_step")
-    if base_step is None:
-        return failures
-    if fresh_step is None:
-        return ["multitenant: contention_step missing from fresh run"]
-    if fresh_step.get("jobs") != base_step.get("jobs"):
-        print(
-            f"SKIP multitenant.contention_step: job count differs "
-            f"({fresh_step.get('jobs')} vs baseline {base_step.get('jobs')})"
-        )
-        return failures
-    if fresh_step.get("rounds") != base_step.get("rounds"):
-        # A REPRO_BENCH_QUICK run times fewer rounds; its noisier speedup
-        # factors are not comparable to the full-shape baseline.
-        print(
-            f"SKIP multitenant.contention_step: timing rounds differ "
-            f"({fresh_step.get('rounds')} vs baseline {base_step.get('rounds')})"
-        )
-        return failures
-    for key in ("price_concurrent", "scenario_sweep"):
-        _check_speedup(
-            f"multitenant.contention_step.{key}",
-            fresh_step[key]["speedup"],
-            base_step[key]["speedup"],
-            tolerance,
-            failures,
-        )
-    return failures
-
-
 def check_serve(fresh: dict, base: dict, tolerance: float) -> list[str]:
     """Gate the serve daemon's sustained request throughput.
 
@@ -340,7 +303,6 @@ def main(argv: list[str] | None = None) -> int:
         (OBS_JSON, check_obs),
         (PRICING_JSON, check_pricing),
         (AUTOTIER_JSON, check_autotier),
-        (MULTITENANT_JSON, check_multitenant),
         (SERVE_JSON, check_serve),
         (GUIDANCE_JSON, check_guidance),
     )

@@ -216,7 +216,10 @@ class ServeCore:
             return _err(request, "bad-request", f"reserve failed: {err}")
         self.ledger.open(tenant, quota_pages)
         self.sessions[tenant] = TenantSession(
-            tenant=tenant, quota_pages=quota_pages, reserve_holds=holds
+            tenant=tenant,
+            quota_pages=quota_pages,
+            reserve_holds=holds,
+            opened_by=request,
         )
         if OBS.enabled:
             OBS.metrics.counter("serve.sessions_opened").inc()
@@ -847,6 +850,12 @@ class StreamServer:
     match by ``id``), so a slow migration does not head-of-line-block a
     quick query from the same tenant.  Malformed and oversize lines are
     answered with a typed ``bad-request`` (id -1), never a disconnect.
+
+    The connection whose ``open`` succeeded owns the tenant until a
+    ``close`` succeeds from any connection.  When the connection ends,
+    the tenants it still owns are closed as an admin step
+    (:meth:`ReproServeServer.run_admin`), so a client that disconnects
+    leaks no session, quota or pages (docs/SERVE.md).
     """
 
     def __init__(
@@ -880,12 +889,16 @@ class StreamServer:
     ) -> None:
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task[None]] = set()
+        # tenant -> this connection's last successful open of it.
+        owned: dict[str, Request] = {}
         try:
             while True:
                 try:
                     line = await reader.readuntil(b"\n")
                 except asyncio.IncompleteReadError as eof:
                     line = eof.partial  # an unterminated last line, or EOF
+                except ConnectionError:
+                    break  # reset by the peer: ends the connection like EOF
                 except asyncio.LimitOverrunError:
                     await self._reject(
                         writer,
@@ -904,12 +917,13 @@ class StreamServer:
                     await self._reject(writer, write_lock, str(err))
                     continue
                 task = asyncio.create_task(
-                    self._serve_one(request, writer, write_lock)
+                    self._serve_one(request, writer, write_lock, owned)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            await self._close_owned(owned)
         finally:
             writer.close()
             try:
@@ -933,13 +947,35 @@ class StreamServer:
             writer.write(encode_response(response))
             await writer.drain()
 
+    async def _close_owned(self, owned: dict[str, Request]) -> None:
+        """Close each tenant whose live session this connection opened.
+
+        One admin step, serialized with commits but outside any ``seq``
+        schedule, so the ownership test and the close see the same
+        state.  A stopping server skips it.
+        """
+        if not owned or not self.server._running:
+            return
+        core = self.server.core
+
+        def close_owned() -> None:
+            for tenant, opened in owned.items():
+                session = core.sessions.get(tenant)
+                if session is not None and session.opened_by is opened:
+                    core.apply(Request(verb="close", tenant=tenant, id=-1))
+
+        await self.server.run_admin(close_owned)
+
     async def _serve_one(
         self,
         request: Request,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
+        owned: dict[str, Request],
     ) -> None:
         response = await self.server.submit(request)
+        if response.ok and request.verb == "open":
+            owned[request.tenant] = request
         async with write_lock:
             writer.write(encode_response(response))
             await writer.drain()

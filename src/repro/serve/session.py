@@ -24,6 +24,7 @@ from ..errors import ServeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..alloc.allocator import Buffer
+    from .protocol import Request
 
 __all__ = ["QuotaLedger", "TenantSession"]
 
@@ -128,6 +129,10 @@ class TenantSession:
     reserve_holds: dict[int, int] = field(default_factory=dict)
     allocs: int = 0
     frees: int = 0
+    #: The ``open`` request that started this session.  A stream
+    #: connection owns the tenant while the live session is one its own
+    #: ``open`` started (docs/SERVE.md).
+    opened_by: Request | None = None
 
     def describe(self) -> dict[str, object]:
         return {

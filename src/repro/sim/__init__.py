@@ -20,12 +20,7 @@ The latency and cpu terms serialize within a thread; the phase time is
 
 from .access import BufferAccess, KernelPhase, PatternKind, Placement
 from .caches import CacheModel, cache_filter
-from .contention import (
-    ConcurrentJob,
-    ConcurrentOutcome,
-    price_concurrent,
-    price_concurrent_batch,
-)
+from .contention import ConcurrentJob, ConcurrentOutcome, price_concurrent
 from .engine import (
     BatchPhaseTiming,
     CompiledPhase,
@@ -55,7 +50,6 @@ __all__ = [
     "ConcurrentJob",
     "ConcurrentOutcome",
     "price_concurrent",
-    "price_concurrent_batch",
     "synth_trace",
     "classify_trace",
 ]

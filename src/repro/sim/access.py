@@ -130,15 +130,23 @@ def _validate_split(buffer: str, split: dict[int, float]) -> None:
         raise SimulationError(
             f"buffer {buffer!r}: placement fractions sum to {total}, not 1"
         )
+    # A one-node split that passed the sum check is positive: only
+    # multi-node splits need the scan, which keeps placement search
+    # (one-node splits, a Placement per memo miss) off it.
+    if len(split) > 1 and min(split.values()) < 0.0:
+        node, frac = min(split.items(), key=lambda item: item[1])
+        raise SimulationError(
+            f"buffer {buffer!r}: negative placement fraction {frac} on node {node}"
+        )
 
 
 @dataclass
 class Placement:
     """Which node(s) hold each buffer: buffer → {node os index: fraction}.
 
-    Fraction sums are validated when splits enter the placement
-    (construction, :meth:`set`), so :meth:`of` — the pricing hot path —
-    is a plain dictionary lookup.
+    Fractions are validated when splits enter the placement
+    (construction, :meth:`set`): each is non-negative and they sum to 1.
+    So :meth:`of` — the pricing hot path — is a plain dictionary lookup.
     """
 
     fractions: dict[str, dict[int, float]] = field(default_factory=dict)

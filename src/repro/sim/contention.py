@@ -8,14 +8,10 @@ its bandwidth.  Latency/CPU components are per-job serial work and do not
 contend (they use different resources: the cores running the job).
 
 :func:`price_concurrent` computes each job's finish time under that model
-by event-stepping job completions (exact for processor sharing).  Jobs
-sharing the same (phase, pus) context are solo-priced through the
-compiled batch path (:meth:`~repro.sim.engine.SimEngine.
-price_placements_batch`) in one vectorized call; :func:`price_concurrent_batch`
-extends that to whole placement *scenarios* — one compile per job, one
-batch pricing across every scenario's placements, then the scalar
-processor-sharing fixpoint per scenario.  Both are bit-identical to the
-per-job scalar rescoring they replace.
+by event-stepping job completions (exact for processor sharing).  Each
+job is solo-priced once through the scalar
+:meth:`~repro.sim.engine.SimEngine.price_phase` (docs/MODEL.md §7c says
+why contention has no batch route).
 """
 
 from __future__ import annotations
@@ -30,12 +26,7 @@ __all__ = [
     "ConcurrentJob",
     "ConcurrentOutcome",
     "price_concurrent",
-    "price_concurrent_batch",
 ]
-
-#: Solo-price through the batch path only when a (phase, pus) group has at
-#: least this many jobs — a one-row batch just adds compile overhead.
-_BATCH_MIN_JOBS = 2
 
 
 @dataclass(frozen=True)
@@ -80,66 +71,6 @@ def _solo_scalar(engine: SimEngine, job: ConcurrentJob) -> _SoloPrice:
     )
 
 
-def _placement_nodes(placement: Placement) -> set[int]:
-    return {
-        node for split in placement.fractions.values() for node in split
-    }
-
-
-def _solo_prices(
-    engine: SimEngine, jobs: tuple[ConcurrentJob, ...]
-) -> dict[str, _SoloPrice]:
-    """Solo-price every job, batching same-(phase, pus) groups.
-
-    Jobs sharing a pricing context are flattened into one fraction tensor
-    and priced in a single :meth:`SimEngine.price_placements_batch` call;
-    jobs whose placements are not axis-order compatible (multi-node
-    splits iterating against the sorted node axis) fall back to the
-    scalar path.  Either way the numbers are bit-identical to per-job
-    :meth:`SimEngine.price_phase` calls.
-    """
-    groups: dict[tuple[KernelPhase, tuple[int, ...]], list[ConcurrentJob]] = {}
-    for job in jobs:
-        groups.setdefault((job.phase, job.pus), []).append(job)
-
-    solo: dict[str, _SoloPrice] = {}
-    for (phase, pus), members in groups.items():
-        batchable: list[ConcurrentJob] = []
-        if len(members) >= _BATCH_MIN_JOBS:
-            axis = tuple(
-                sorted(set().union(*(
-                    _placement_nodes(j.placement) for j in members
-                )))
-            )
-            compiled = engine.compile_phase(phase, axis, pus=pus)
-            batchable = [
-                j for j in members if compiled.accepts(j.placement)
-            ]
-        if len(batchable) >= _BATCH_MIN_JOBS:
-            batch = engine.price_placements_batch(
-                compiled, [j.placement for j in batchable]
-            )
-            for i, job in enumerate(batchable):
-                row_work: dict[int, float] = {}
-                for k, node in enumerate(batch.nodes):
-                    bw = float(batch.node_bw_seconds[i, k])
-                    if bw > 0:
-                        row_work[node] = bw
-                solo[job.name] = _SoloPrice(
-                    solo_seconds=float(batch.seconds[i]),
-                    serial_seconds=(
-                        float(batch.latency_seconds[i]) + batch.cpu_seconds
-                    ),
-                    work=row_work,
-                )
-        else:
-            batchable = []
-        for job in members:
-            if job.name not in solo:
-                solo[job.name] = _solo_scalar(engine, job)
-    return solo
-
-
 def _bandwidth_finish(
     names: list[str], work: dict[str, dict[int, float]]
 ) -> dict[str, float]:
@@ -180,36 +111,6 @@ def _bandwidth_finish(
     return bw_finish
 
 
-def _outcomes(
-    jobs: tuple[ConcurrentJob, ...], solo: dict[str, _SoloPrice]
-) -> tuple[ConcurrentOutcome, ...]:
-    names = [j.name for j in jobs]
-    bw_finish = _bandwidth_finish(
-        names, {name: solo[name].work for name in names}
-    )
-    outcomes = []
-    for job in jobs:
-        price = solo[job.name]
-        finish = max(bw_finish[job.name], price.serial_seconds)
-        outcomes.append(
-            ConcurrentOutcome(
-                name=job.name,
-                solo_seconds=price.solo_seconds,
-                seconds=finish,
-                slowdown=finish / price.solo_seconds,
-            )
-        )
-    return tuple(outcomes)
-
-
-def _check_jobs(jobs: tuple[ConcurrentJob, ...]) -> None:
-    if not jobs:
-        raise SimulationError("price_concurrent needs at least one job")
-    names = [j.name for j in jobs]
-    if len(set(names)) != len(names):
-        raise SimulationError("duplicate job names")
-
-
 def price_concurrent(
     engine: SimEngine, jobs: tuple[ConcurrentJob, ...]
 ) -> tuple[ConcurrentOutcome, ...]:
@@ -226,75 +127,25 @@ def price_concurrent(
     the solo model overlaps them (roofline max), so each job's finish
     time is ``max(shared_bandwidth_finish, serial_time)``.
     """
-    _check_jobs(jobs)
-    return _outcomes(jobs, _solo_prices(engine, jobs))
-
-
-def price_concurrent_batch(
-    engine: SimEngine,
-    jobs: tuple[ConcurrentJob, ...],
-    scenarios,
-) -> tuple[tuple[ConcurrentOutcome, ...], ...]:
-    """Price many placement *scenarios* of the same co-running jobs.
-
-    ``scenarios[s]`` is a sequence of placements, one per job in order
-    (each job's :attr:`ConcurrentJob.placement` is ignored).  Every job's
-    phase is compiled once and its S scenario placements priced in one
-    batch call; the processor-sharing fixpoint then runs per scenario on
-    the precomputed solo numbers.  Output ``[s]`` is bit-identical to
-    ``price_concurrent`` on jobs carrying ``scenarios[s]``'s placements.
-    """
-    _check_jobs(jobs)
-    scenarios = tuple(tuple(row) for row in scenarios)
-    for s, row in enumerate(scenarios):
-        if len(row) != len(jobs):
-            raise SimulationError(
-                f"scenario {s} has {len(row)} placements for {len(jobs)} jobs"
-            )
-    if not scenarios:
-        return ()
-
-    # One compile + one batch pricing per job, across all scenarios.
-    per_scenario: list[dict[str, _SoloPrice]] = [{} for _ in scenarios]
-    for j, job in enumerate(jobs):
-        placements = [row[j] for row in scenarios]
-        axis = tuple(
-            sorted(set().union(*(_placement_nodes(p) for p in placements)))
-        )
-        compiled = engine.compile_phase(job.phase, axis, pus=job.pus)
-        batch_rows = [
-            s for s, p in enumerate(placements) if compiled.accepts(p)
-        ]
-        if len(batch_rows) >= _BATCH_MIN_JOBS:
-            batch = engine.price_placements_batch(
-                compiled, [placements[s] for s in batch_rows]
-            )
-            for i, s in enumerate(batch_rows):
-                row_work: dict[int, float] = {}
-                for k, node in enumerate(batch.nodes):
-                    bw = float(batch.node_bw_seconds[i, k])
-                    if bw > 0:
-                        row_work[node] = bw
-                per_scenario[s][job.name] = _SoloPrice(
-                    solo_seconds=float(batch.seconds[i]),
-                    serial_seconds=(
-                        float(batch.latency_seconds[i]) + batch.cpu_seconds
-                    ),
-                    work=row_work,
-                )
-        else:
-            batch_rows = []
-        for s, placement in enumerate(placements):
-            if job.name not in per_scenario[s]:
-                per_scenario[s][job.name] = _solo_scalar(
-                    engine,
-                    ConcurrentJob(
-                        name=job.name,
-                        phase=job.phase,
-                        placement=placement,
-                        pus=job.pus,
-                    ),
-                )
-    return tuple(
-        _outcomes(jobs, solo) for solo in per_scenario
+    if not jobs:
+        raise SimulationError("price_concurrent needs at least one job")
+    names = [j.name for j in jobs]
+    if len(set(names)) != len(names):
+        raise SimulationError("duplicate job names")
+    solo = {job.name: _solo_scalar(engine, job) for job in jobs}
+    bw_finish = _bandwidth_finish(
+        names, {name: solo[name].work for name in names}
     )
+    outcomes = []
+    for job in jobs:
+        price = solo[job.name]
+        finish = max(bw_finish[job.name], price.serial_seconds)
+        outcomes.append(
+            ConcurrentOutcome(
+                name=job.name,
+                solo_seconds=price.solo_seconds,
+                seconds=finish,
+                slowdown=finish / price.solo_seconds,
+            )
+        )
+    return tuple(outcomes)

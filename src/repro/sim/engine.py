@@ -115,7 +115,7 @@ class PreparedPhase:
     depend on the buffer placement — the cache model for the executing
     PUs, the cache-filtered traffic per access, the CPU term — so a
     search pricing the same phase under thousands of placements pays for
-    it once (see :meth:`SimEngine.price_phase_many`).
+    it once (:meth:`SimEngine.price_prepared` per placement).
     """
 
     phase: KernelPhase
@@ -139,8 +139,9 @@ class CompiledPhase:
 
     Bit-identity contract (docs/MODEL.md §7c): batch pricing equals the
     scalar :meth:`SimEngine.price_prepared` bit for bit for placements
-    whose per-buffer fraction dicts iterate in node-axis order (the order
-    :meth:`fractions` preserves; :meth:`accepts` checks it).
+    that cover every buffer with axis nodes only and whose per-buffer
+    fraction dicts iterate in node-axis order (the order
+    :meth:`fractions` preserves).
     """
 
     prepared: PreparedPhase
@@ -188,24 +189,6 @@ class CompiledPhase:
                         )
                     out[i, b, k] = frac
         return out
-
-    def accepts(self, placement: Placement) -> bool:
-        """True when ``placement`` is bit-identity safe for this phase:
-        it covers every buffer, uses only axis nodes, and each buffer's
-        fraction dict iterates in node-axis order (multi-node splits in
-        another order would accumulate latency terms differently)."""
-        pos = self.node_pos
-        for name in self.buffers:
-            split = placement.fractions.get(name)
-            if split is None:
-                return False
-            last = -1
-            for node in split:
-                k = pos.get(node)
-                if k is None or k < last:
-                    return False
-                last = k
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,65 +319,6 @@ class SimEngine:
         and cache capacity); defaults to the first ``phase.threads`` PUs.
         """
         return self.price_prepared(self.prepare_phase(phase, pus=pus), placement)
-
-    def price_phase_many(
-        self,
-        phase: KernelPhase,
-        placements,
-        *,
-        pus: tuple[int, ...] | None = None,
-    ) -> list[PhaseTiming]:
-        """Price one phase under many placements (batch path).
-
-        The cache model and per-access cache filtering are computed once
-        and shared; each placement only pays the node-dependent part.
-        Results are bit-identical to per-placement :meth:`price_phase`
-        calls.
-        """
-        prepared = self.prepare_phase(phase, pus=pus)
-        return [self.price_prepared(prepared, p) for p in placements]
-
-    def price_access_alone(
-        self, prepared: PreparedPhase, index: int, node: int
-    ) -> tuple[float, float]:
-        """Price one prepared access as if it sat alone on ``node``.
-
-        Returns ``(latency_seconds, bandwidth_seconds)`` — the access's
-        contribution to the phase's latency chain and to ``node``'s
-        bandwidth time when no other buffer shares the node.  Because the
-        access keeps its real cache share (miss counts match the full
-        phase) while the node sees only this buffer's working set (its
-        loaded latency is lowest, its bandwidth highest), each component
-        is a lower bound on the access's contribution in *any* complete
-        placement — the building block of the placement search's
-        branch-and-bound (docs/MODEL.md, "Placement search").
-        """
-        self._sync_generation()
-        if OBS.enabled:
-            OBS.metrics.counter("sim.single_access_pricings").inc()
-        access, filtered = prepared.filtered[index]
-        pus = prepared.pus
-        threads = prepared.phase.threads
-        ws = float(access.working_set)
-        write_ws = ws if access.bytes_written > 0 else 0.0
-        inst = self._instance(node)
-        lat_seconds = 0.0
-        if access.pattern.is_latency_bound:
-            lat = self._node_latency(node, pus, ws)
-            mlp = threads * min(access.pattern.cpu_mlp, inst.tech.max_mlp)
-            lat_seconds = filtered.miss_count * lat / mlp
-            random_bytes = filtered.memory_read_bytes + filtered.memory_write_bytes
-            stream_read = stream_write = 0.0
-        else:
-            random_bytes = 0.0
-            stream_read = filtered.memory_read_bytes
-            stream_write = filtered.memory_write_bytes
-        _, rbw, wbw = self._node_bandwidths(node, pus, ws, write_ws, threads)
-        random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction
-        bw_seconds = (
-            stream_read / rbw + stream_write / wbw + random_bytes / random_bw
-        )
-        return lat_seconds, bw_seconds
 
     # ------------------------------------------------------------------
     # compiled batch pricing
@@ -601,13 +525,19 @@ class SimEngine:
     def price_accesses_alone_batch(
         self, compiled: CompiledPhase
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`price_access_alone` over (access, node).
+        """Price every access as if it sat alone on each axis node.
 
-        Returns ``(lat_seconds, bw_seconds)`` arrays of shape (B, K) with
-        ``[b, k]`` bit-identical to
-        ``price_access_alone(compiled.prepared, b, compiled.nodes[k])``.
-        One call replaces the B*K scalar pricings a bound-table build
-        performs.
+        Returns ``(lat_seconds, bw_seconds)`` arrays of shape (B, K):
+        ``[b, k]`` is access ``b``'s contribution to the phase's latency
+        chain and to node ``compiled.nodes[k]``'s bandwidth time when no
+        other buffer shares that node.  Because the access keeps its real
+        cache share (miss counts match the full phase) while the node sees
+        only this buffer's working set (its loaded latency is lowest, its
+        bandwidth highest), each component is a lower bound on the
+        access's contribution in *any* complete placement — the building
+        block of the placement search's branch-and-bound (docs/MODEL.md,
+        "Placement search").  ``tests/sim/scalar_oracle.py`` keeps the
+        per-element scalar reference.
         """
         if compiled.generation != self._sync_generation():
             raise SimulationError(

@@ -12,6 +12,7 @@ from repro.sensitivity.search import _BoundModel, _SearchSpace
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
 from repro.units import GB, MiB
 from tests.conftest import XEON_PUS
+from tests.sim import scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +345,15 @@ def _random_workload(rng: random.Random):
     return tuple(phases), sizes
 
 
+def _bound_for(bound: _BoundModel, prefix: tuple[int, ...]) -> float:
+    """The bound under an explicit prefix, state restored afterwards."""
+    tokens = [(i, n, bound.apply(i, n)) for i, n in enumerate(prefix)]
+    value = bound.bound(len(prefix))
+    for i, n, token in reversed(tokens):
+        bound.undo(i, n, token)
+    return value
+
+
 class TestLowerBound:
     def test_bound_admissible_on_randomized_workloads(self, xeon_engine):
         """The branch-and-bound lower bound never exceeds the true pricing
@@ -375,7 +385,7 @@ class TestLowerBound:
             for depth in range(len(critical) + 1):
                 for combo, seconds in by_combo.items():
                     prefix = combo[:depth]
-                    lb = bound.bound_for(prefix)
+                    lb = _bound_for(bound, prefix)
                     assert lb <= seconds * (1 + 1e-9), (
                         f"seed {seed}: bound {lb} exceeds pricing {seconds} "
                         f"for prefix {prefix} of {combo}"
@@ -394,7 +404,7 @@ class TestLowerBound:
         bound = _BoundModel(xeon_engine, space.prepared, critical, (0, 2), 0)
         for c in full.candidates:
             combo = tuple(n for _, n in c.assignment)
-            assert bound.bound_for(combo) <= c.seconds * (1 + 1e-9)
+            assert _bound_for(bound, combo) <= c.seconds * (1 + 1e-9)
 
 
 class TestLargeSpace:
@@ -438,7 +448,7 @@ class TestLargeSpace:
 
 def _scalar_bound_tables(engine, prepared, critical, nodes, default_node):
     """Reference build of :class:`_BoundModel`'s tables from one scalar
-    ``price_access_alone`` call per (phase, access, node)."""
+    ``scalar_oracle.price_access_alone`` call per (phase, access, node)."""
     crit_index = {b: i for i, b in enumerate(critical)}
     n_phases, n_crit = len(prepared), len(critical)
     pricings = 0
@@ -451,12 +461,17 @@ def _scalar_bound_tables(engine, prepared, critical, nodes, default_node):
         for index, (access, _) in enumerate(prep.filtered):
             ci = crit_index.get(access.buffer)
             if ci is None:
-                lat, bw = engine.price_access_alone(prep, index, default_node)
+                lat, bw = scalar_oracle.price_access_alone(
+                    engine, prep, index, default_node
+                )
                 pricings += 1
                 dec_lat[p] += lat
                 dec_bw[p][default_node] = dec_bw[p].get(default_node, 0.0) + bw
                 continue
-            alone = {n: engine.price_access_alone(prep, index, n) for n in nodes}
+            alone = {
+                n: scalar_oracle.price_access_alone(engine, prep, index, n)
+                for n in nodes
+            }
             pricings += len(nodes)
             lat_by_node = {n: lat for n, (lat, _) in alone.items()}
             bw_by_node = {n: bw for n, (_, bw) in alone.items()}

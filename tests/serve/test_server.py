@@ -7,6 +7,8 @@ the socket front end uses.
 """
 
 import asyncio
+import socket
+import struct
 
 import pytest
 
@@ -22,8 +24,10 @@ from repro.serve import (
     ServeCore,
     StreamServeClient,
     StreamServer,
+    decode_response,
+    encode_request,
 )
-from repro.units import MiB
+from repro.units import GiB, MiB
 
 PLATFORM = "xeon-cascadelake-1lm"
 
@@ -462,6 +466,137 @@ class TestStreamTransport:
                 finally:
                     await a.aclose()
                     await b.aclose()
+                    await stream.stop()
+
+        run(scenario())
+
+
+async def _raw_request(reader, writer, tenant, verb, payload=None, rid=1):
+    writer.write(
+        encode_request(
+            Request(verb=verb, tenant=tenant, id=rid, payload=payload or {})
+        )
+    )
+    await writer.drain()
+    return decode_response(await reader.readline())
+
+
+async def _hang_up(reader, writer):
+    """Half-close and read until the server hangs up, which it does only
+    after its end-of-connection handling."""
+    writer.write_eof()
+    while await reader.readline():
+        pass
+    writer.close()
+    await writer.wait_closed()
+
+
+async def _sessions_drained(core, timeout_s=5.0):
+    """Poll until the server has closed every session (or time out)."""
+    for _ in range(int(timeout_s / 0.01)):
+        if not core.sessions:
+            return
+        await asyncio.sleep(0.01)
+
+
+class TestDisconnect:
+    """A connection owns the tenants it opened until a close succeeds
+    from any connection; when it ends, the server closes what it still
+    owns."""
+
+    def test_disconnect_releases_tenant(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                core = server.core
+                free_before = list(core.kernel.free_pages_array())
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                client = await StreamServeClient.connect(host, port, "t1")
+                try:
+                    assert (await client.open()).ok
+                    assert (await client.alloc("h", GiB, "Bandwidth", 0)).ok
+                    assert core.kernel.live_allocations()
+                finally:
+                    await client.aclose()
+                await _sessions_drained(core)
+                try:
+                    assert core.sessions == {}
+                    assert core.ledger.snapshot() == {}
+                    assert core.kernel.live_allocations() == ()
+                    assert list(core.kernel.free_pages_array()) == free_before
+                finally:
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_reset_connection_releases_tenant(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    assert (await _raw_request(reader, writer, "t1", "open")).ok
+                    # Linger 0: closing sends a reset instead of EOF.
+                    sock = writer.get_extra_info("socket")
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                    writer.transport.abort()
+                    await _sessions_drained(server.core)
+                    assert server.core.sessions == {}
+                finally:
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_explicit_close_is_not_repeated(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    assert (await _raw_request(reader, writer, "t1", "open")).ok
+                    placed = await _raw_request(
+                        reader, writer, "t1", "alloc",
+                        {"handle": "h", "size": MiB,
+                         "attribute": "Bandwidth", "initiator": 0},
+                        rid=2,
+                    )
+                    assert placed.ok
+                    closed = await _raw_request(
+                        reader, writer, "t1", "close", rid=3
+                    )
+                    assert closed.ok
+                    await _hang_up(reader, writer)
+                    assert server.core.verb_counts["close"] == 1
+                    assert server.core.sessions == {}
+                finally:
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_reopened_tenant_survives_first_owner_eof(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                other = await StreamServeClient.connect(host, port, "t1")
+                try:
+                    assert (await _raw_request(reader, writer, "t1", "open")).ok
+                    assert (await other.close()).ok
+                    assert (await other.open()).ok
+                    assert (await other.alloc("h", MiB, "Bandwidth", 0)).ok
+                    # The first connection ends; it no longer owns t1.
+                    await _hang_up(reader, writer)
+                    assert server.core.verb_counts["close"] == 1
+                    stats = await other.stats()
+                    assert stats.result["sessions"]["t1"]["buffers"] == 1
+                finally:
+                    await other.aclose()
                     await stream.stop()
 
         run(scenario())

@@ -1,11 +1,17 @@
-"""Frozen reference for :meth:`SimEngine.price_prepared`.
+"""Frozen scalar references for the pricing engine.
 
-The body below is the scalar pricer as it was before the production one
-stopped building a throwaway ``NodeTraffic`` per (access, node), read
-pattern traits once per access and looked ``cpu_mlp`` up in a module
-table.  Differential tests compare every :class:`PhaseTiming` field of
-the production pricer against it.  The node-resolution helpers
-(``_node_latency``, ``_node_bandwidths``) are the engine's own.
+:func:`price_prepared` is the scalar pricer as it was before the
+production one stopped building a throwaway ``NodeTraffic`` per (access,
+node), read pattern traits once per access and looked ``cpu_mlp`` up in
+a module table.  Differential tests compare every :class:`PhaseTiming`
+field of the production pricer against it.
+
+:func:`price_access_alone` is the scalar single-access pricing that
+``SimEngine`` used to carry; the vectorized
+``SimEngine.price_accesses_alone_batch`` must equal it per element.
+
+The node-resolution helpers (``_node_latency``, ``_node_bandwidths``)
+are the engine's own.
 """
 
 from __future__ import annotations
@@ -105,3 +111,35 @@ def price_prepared(engine, prepared, placement) -> PhaseTiming:
         node_traffic=node_traffic,
         buffer_timings=buffer_timings,
     )
+
+
+def price_access_alone(engine, prepared, index, node) -> tuple[float, float]:
+    """One prepared access priced as if it sat alone on ``node``.
+
+    Returns ``(latency_seconds, bandwidth_seconds)``: the access keeps
+    its real cache share while ``node`` sees only its working set.
+    """
+    engine._sync_generation()
+    access, filtered = prepared.filtered[index]
+    pus = prepared.pus
+    threads = prepared.phase.threads
+    ws = float(access.working_set)
+    write_ws = ws if access.bytes_written > 0 else 0.0
+    inst = engine._instance(node)
+    lat_seconds = 0.0
+    if access.pattern.is_latency_bound:
+        lat = engine._node_latency(node, pus, ws)
+        mlp = threads * min(access.pattern.cpu_mlp, inst.tech.max_mlp)
+        lat_seconds = filtered.miss_count * lat / mlp
+        random_bytes = filtered.memory_read_bytes + filtered.memory_write_bytes
+        stream_read = stream_write = 0.0
+    else:
+        random_bytes = 0.0
+        stream_read = filtered.memory_read_bytes
+        stream_write = filtered.memory_write_bytes
+    _, rbw, wbw = engine._node_bandwidths(node, pus, ws, write_ws, threads)
+    random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction
+    bw_seconds = (
+        stream_read / rbw + stream_write / wbw + random_bytes / random_bw
+    )
+    return lat_seconds, bw_seconds

@@ -92,6 +92,18 @@ class TestPlacement:
             p.set("a", {0: 0.5, 1: 0.6})
         assert p.of("a") == {0: 1.0}  # rejected split did not stick
 
+    def test_negative_fraction_rejected(self):
+        # Sums to 1, but node 2 would carry negative traffic and price
+        # faster than any real placement.
+        with pytest.raises(SimulationError, match="'a'.*node 2"):
+            Placement({"a": {0: 1.25, 2: -0.25}, "b": {2: 1.0}})
+        p = Placement.single(a=0)
+        with pytest.raises(SimulationError, match="'a'.*node 2"):
+            p.set("a", {0: 1.25, 2: -0.25})
+        assert p.of("a") == {0: 1.0}
+        # A zero fraction stays legal.
+        assert Placement({"a": {0: 1.0, 2: 0.0}}).of("a") == {0: 1.0, 2: 0.0}
+
     def test_split_placement_ok(self):
         p = Placement({"a": {0: 0.25, 1: 0.75}})
         assert p.of("a")[1] == 0.75

@@ -130,9 +130,9 @@ class TestProcessorSharing:
             )
 
 
-class TestBatchedSoloPricing:
-    """Same-(phase, pus) jobs solo-price through the compiled batch path;
-    the outcomes must be bit-identical to the scalar per-job path."""
+class TestSoloPricing:
+    """Each job is solo-priced once on the scalar route: every outcome's
+    ``solo_seconds`` is ``price_phase``'s, bit for bit."""
 
     def _shared_phase_jobs(self, nodes):
         phase = KernelPhase(
@@ -157,84 +157,39 @@ class TestBatchedSoloPricing:
             for i, node in enumerate(nodes)
         )
 
-    def test_batch_groups_equal_scalar(self, xeon_engine, monkeypatch):
-        import repro.sim.contention as mod
-        jobs = self._shared_phase_jobs((0, 2, 0))
-        batched = price_concurrent(xeon_engine, jobs)
-        monkeypatch.setattr(mod, "_BATCH_MIN_JOBS", 10 ** 9)  # force scalar
-        scalar = price_concurrent(xeon_engine, jobs)
-        assert batched == scalar
+    def _assert_solo_is_price_phase(self, engine, jobs):
+        outs = price_concurrent(engine, jobs)
+        assert [o.name for o in outs] == [j.name for j in jobs]
+        for job, out in zip(jobs, outs):
+            solo = engine.price_phase(job.phase, job.placement, pus=job.pus)
+            assert out.solo_seconds == solo.seconds
 
-    def test_mixed_groups_equal_scalar(self, xeon_engine, monkeypatch):
-        import repro.sim.contention as mod
+    def test_shared_phase_group_solo_is_price_phase(self, xeon_engine):
+        self._assert_solo_is_price_phase(
+            xeon_engine, self._shared_phase_jobs((0, 2, 0))
+        )
+
+    def test_mixed_groups_solo_is_price_phase(self, xeon_engine):
         jobs = self._shared_phase_jobs((0, 2)) + (
             chase_job("chaser", 0),
             stream_job("solo", 2, 4 * GB),
         )
-        batched = price_concurrent(xeon_engine, jobs)
-        monkeypatch.setattr(mod, "_BATCH_MIN_JOBS", 10 ** 9)
-        scalar = price_concurrent(xeon_engine, jobs)
-        assert batched == scalar
+        self._assert_solo_is_price_phase(xeon_engine, jobs)
 
-    def test_split_placement_falls_back(self, xeon_engine, monkeypatch):
-        """Axis-incompatible (out-of-order split) placements take the
-        scalar path and still price identically."""
-        import repro.sim.contention as mod
+    def test_out_of_order_split_solo_is_price_phase(self, xeon_engine):
         phase = self._shared_phase_jobs((0,))[0].phase
         jobs = (
             ConcurrentJob(
                 name="ordered",
                 phase=phase,
-                placement=Placement(fractions={"b": {0: 0.5, 2: 0.5}}),
+                placement=Placement(fractions={"b": {0: 0.75, 2: 0.25}}),
                 pus=tuple(range(20)),
             ),
             ConcurrentJob(
                 name="backwards",
                 phase=phase,
-                placement=Placement(fractions={"b": {2: 0.5, 0: 0.5}}),
+                placement=Placement(fractions={"b": {2: 0.25, 0: 0.75}}),
                 pus=tuple(range(20)),
             ),
         )
-        batched = price_concurrent(xeon_engine, jobs)
-        monkeypatch.setattr(mod, "_BATCH_MIN_JOBS", 10 ** 9)
-        scalar = price_concurrent(xeon_engine, jobs)
-        assert batched == scalar
-
-
-class TestScenarioBatch:
-    def test_scenarios_equal_individual_calls(self, xeon_engine):
-        from repro.sim import price_concurrent_batch
-        base = (
-            stream_job("a", 0, 8 * GB),
-            stream_job("b", 0, 4 * GB),
-        )
-        scenarios = (
-            (Placement.single(b=0), Placement.single(b=0)),
-            (Placement.single(b=0), Placement.single(b=2)),
-            (Placement.single(b=2), Placement.single(b=2)),
-        )
-        batched = price_concurrent_batch(xeon_engine, base, scenarios)
-        assert len(batched) == len(scenarios)
-        for row, outcomes in zip(scenarios, batched):
-            jobs = tuple(
-                ConcurrentJob(
-                    name=j.name, phase=j.phase, placement=p, pus=j.pus
-                )
-                for j, p in zip(base, row)
-            )
-            assert outcomes == price_concurrent(xeon_engine, jobs)
-
-    def test_scenario_length_validated(self, xeon_engine):
-        jobs = (stream_job("a", 0, GB),)
-        from repro.sim import price_concurrent_batch
-        with pytest.raises(SimulationError):
-            price_concurrent_batch(
-                xeon_engine, jobs,
-                ((Placement.single(b=0), Placement.single(b=0)),),
-            )
-
-    def test_empty_scenarios(self, xeon_engine):
-        from repro.sim import price_concurrent_batch
-        assert price_concurrent_batch(
-            xeon_engine, (stream_job("a", 0, GB),), ()
-        ) == ()
+        self._assert_solo_is_price_phase(xeon_engine, jobs)

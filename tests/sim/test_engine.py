@@ -11,6 +11,7 @@ from repro.sim import (
     SimEngine,
 )
 from repro.units import GB, GiB, MiB
+from tests.sim import scalar_oracle
 
 
 def stream_phase(nbytes, threads=20, name="s"):
@@ -235,14 +236,17 @@ class TestBatchPricing:
     """The prepared/batch path must be bit-identical to price_phase."""
 
     def test_price_phase_many_bit_identical(self, xeon_engine):
+        """One phase under many placements: a prepared phase priced in a
+        loop equals per-placement price_phase calls."""
         phase = mixed_phase()
         pus = tuple(range(40))
         placements = [
             Placement.single(a=a, b=b, c=c)
             for a in (0, 2) for b in (0, 2) for c in (0, 2)
         ]
-        batch = xeon_engine.price_phase_many(phase, placements, pus=pus)
-        for placement, timing in zip(placements, batch):
+        prepared = xeon_engine.prepare_phase(phase, pus=pus)
+        for placement in placements:
+            timing = xeon_engine.price_prepared(prepared, placement)
             single = xeon_engine.price_phase(phase, placement, pus=pus)
             assert timing.seconds == single.seconds          # exact, not approx
             assert timing.latency_seconds == single.latency_seconds
@@ -276,7 +280,9 @@ class TestBatchPricing:
             lat_sum = 0.0
             bw_sum = 0.0
             for i in range(len(phase.accesses)):
-                lat, bw = xeon_engine.price_access_alone(prepared, i, node)
+                lat, bw = scalar_oracle.price_access_alone(
+                    xeon_engine, prepared, i, node
+                )
                 lat_sum += lat
                 bw_sum += bw
             assert lat_sum <= full.latency_seconds * (1 + 1e-9)

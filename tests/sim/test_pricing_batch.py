@@ -32,6 +32,7 @@ from repro.sim import (
 from repro.topology import build_topology
 from repro.units import GB, MiB
 from tests.obs.test_differential import random_machine
+from tests.sim import scalar_oracle
 
 N_SEEDS = 100
 
@@ -81,6 +82,16 @@ def _random_placements(rng, buffers, axis, n):
     return placements
 
 
+def _axis_ordered(compiled, placement) -> bool:
+    """Batch rows equal the scalar path bit for bit when each buffer's
+    split iterates in node-axis order (docs/MODEL.md §7c)."""
+    for name in compiled.buffers:
+        positions = [compiled.node_pos[node] for node in placement.of(name)]
+        if positions != sorted(positions):
+            return False
+    return True
+
+
 def _scenario(seed: int):
     rng = random.Random(seed)
     machine = random_machine(rng)
@@ -99,7 +110,7 @@ class TestDifferential:
         engine, axis, phase, placements = _scenario(seed)
         compiled = engine.compile_phase(phase, axis)
         for p in placements:
-            assert compiled.accepts(p)
+            assert _axis_ordered(compiled, p)
         batch = engine.price_placements_batch(compiled, placements)
         for i, placement in enumerate(placements):
             scalar = engine.price_phase(phase, placement)
@@ -119,7 +130,9 @@ class TestDifferential:
         lat, bw = engine.price_accesses_alone_batch(compiled)
         for index in range(len(prepared.filtered)):
             for k, node in enumerate(axis):
-                s_lat, s_bw = engine.price_access_alone(prepared, index, node)
+                s_lat, s_bw = scalar_oracle.price_access_alone(
+                    engine, prepared, index, node
+                )
                 assert lat[index, k] == s_lat
                 assert bw[index, k] == s_bw
 
@@ -237,11 +250,12 @@ class TestPresetEdges:
         )
         compiled = engine.compile_phase(phase, axis[:1])
         off_axis = Placement.single(a=axis[-1])
-        assert not compiled.accepts(off_axis)
         with pytest.raises(SimulationError):
             engine.price_placements_batch(compiled, [off_axis])
 
     def test_accepts_rejects_out_of_order_split(self):
+        """The bit-identity precondition holds for an in-order split and
+        not for a backwards one, which prices as its axis-ordered twin."""
         engine = SimEngine(xeon_cascadelake_1lm())
         axis = tuple(sorted(engine._nodes))
         if len(axis) < 2:
@@ -256,10 +270,16 @@ class TestPresetEdges:
             ),
         )
         compiled = engine.compile_phase(phase, axis)
-        backwards = Placement({"a": {axis[1]: 0.5, axis[0]: 0.5}})
-        assert not compiled.accepts(backwards)
-        in_order = Placement({"a": {axis[0]: 0.5, axis[1]: 0.5}})
-        assert compiled.accepts(in_order)
+        backwards = Placement({"a": {axis[1]: 0.25, axis[0]: 0.75}})
+        assert not _axis_ordered(compiled, backwards)
+        in_order = Placement({"a": {axis[0]: 0.75, axis[1]: 0.25}})
+        assert _axis_ordered(compiled, in_order)
+        # The tensor is laid out on the axis, so a backwards split is
+        # priced as its axis-ordered twin, which the scalar path matches.
+        batch = engine.price_placements_batch(compiled, [backwards, in_order])
+        assert batch.seconds[0] == batch.seconds[1]
+        scalar = engine.price_prepared(compiled.prepared, in_order)
+        assert batch.seconds[1] == scalar.seconds
 
 
 def _hyp_scenario(seed: int):
