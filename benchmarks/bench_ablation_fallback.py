@@ -23,7 +23,7 @@ from repro.units import GB, GiB
 KNL_PUS = tuple(range(64))
 
 
-def test_target_fallback_ablation(benchmark, record, knl_pus):
+def test_target_fallback_ablation(record, knl_pus):
     setup = repro.quick_setup("knl-snc4-flat")
     app = StreamApp(setup.engine, setup.allocator)
     total = int(17.9 * GiB)
@@ -37,7 +37,7 @@ def test_target_fallback_ablation(benchmark, record, knl_pus):
         except CapacityError:
             return "OOM"
 
-    outcome = benchmark(without_fb)
+    outcome = without_fb()
     record(
         "ablation_target_fallback",
         f"with fallback:    {with_fb.describe()}\n"
@@ -47,7 +47,7 @@ def test_target_fallback_ablation(benchmark, record, knl_pus):
     assert with_fb.triad_gbps == pytest.approx(29.3, rel=0.06)
 
 
-def test_attribute_fallback_ablation(benchmark, record, knl_setup):
+def test_attribute_fallback_ablation(record, knl_setup):
     """Feed only combined Bandwidth values, then request ReadBandwidth."""
     topo = knl_setup.topology
     ma = MemAttrs(topo)
@@ -80,7 +80,7 @@ def test_attribute_fallback_ablation(benchmark, record, knl_setup):
         except AllocationError:
             return "failed: no values for ReadBandwidth"
 
-    outcome = benchmark(without_fb)
+    outcome = without_fb()
     record(
         "ablation_attribute_fallback",
         f"with attribute fallback:    HBM? -> {with_outcome}\n"

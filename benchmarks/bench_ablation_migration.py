@@ -62,7 +62,7 @@ def _run(migrate: bool, sweeps: int) -> float:
     return t1.seconds + migration_cost + t2.seconds
 
 
-def test_migration_crossover(benchmark, record):
+def test_migration_crossover(record):
     rows = [f"{'sweeps/phase':>12} | {'static':>9} | {'migrate':>9} | winner"]
     crossover_seen = {"static": False, "migrate": False}
     for sweeps in (2, 10, 60, 200):
@@ -75,22 +75,17 @@ def test_migration_crossover(benchmark, record):
         )
     record("ablation_migration_crossover", "\n".join(rows))
 
-    benchmark(lambda: _run(True, 10))
-
     # Short phases: the move_pages cost dominates (§VII's warning).
     # Long phases: migration pays for itself.
     assert crossover_seen["static"]
     assert crossover_seen["migrate"]
 
 
-def test_migration_cost_model_visible(benchmark, record):
+def test_migration_cost_model_visible(record):
     """The kernel charges a real, inspectable cost for the move."""
 
-    def migrate_once():
-        setup = repro.quick_setup("knl-snc4-flat")
-        buf = setup.allocator.mem_alloc(3 * GB, "Capacity", 0)
-        return setup.allocator.migrate(buf, "Bandwidth")
-
-    report = benchmark(migrate_once)
+    setup = repro.quick_setup("knl-snc4-flat")
+    buf = setup.allocator.mem_alloc(3 * GB, "Capacity", 0)
+    report = setup.allocator.migrate(buf, "Bandwidth")
     record("ablation_migration_cost", report.describe())
     assert report.estimated_seconds > 0.05  # 3GB over ~10GB/s + per-page

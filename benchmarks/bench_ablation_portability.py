@@ -46,7 +46,7 @@ def _hardwired_hbm_node(setup):
     return None
 
 
-def test_portability_matrix(benchmark, record):
+def test_portability_matrix(record):
     xeon = repro.quick_setup("xeon-cascadelake-1lm")
     knl = repro.quick_setup("knl-snc4-flat")
 
@@ -78,8 +78,6 @@ def test_portability_matrix(benchmark, record):
         f"| {oracle['knl'] / 1e8:14.3f}"
     )
     record("ablation_portability", "\n".join(rows))
-
-    benchmark(lambda: _attribute_node(knl))
 
     attr = results["attribute(Latency)"]
     hbm = results["hardwired HBM"]

@@ -63,9 +63,9 @@ def _run(policy_fcfs: bool):
     return timing.seconds, report
 
 
-def test_priority_vs_fcfs(benchmark, record):
+def test_priority_vs_fcfs(record):
     fcfs_seconds, fcfs_report = _run(policy_fcfs=True)
-    prio_seconds, prio_report = benchmark(lambda: _run(policy_fcfs=False))
+    prio_seconds, prio_report = _run(policy_fcfs=False)
 
     speedup = fcfs_seconds / prio_seconds
     record(

@@ -6,15 +6,12 @@ because the application declared its needs.  The reactive alternative
 Cache mode) reaches a similar steady state with **no application
 changes** — but pays a convergence tail: the first intervals run at
 slow-tier speed and the migrations themselves cost time.  This bench
-measures both effects on a hot-streaming workload.
+measures both effects on a hot-streaming workload, as exact ``modeled``
+and ``count`` rows of ``benchmarks/results/bench_autotier.json``; the
+price-guided step's timings are ``wall`` rows there.
 """
 
-import json
-import os
-import pathlib
 import time
-
-import pytest
 
 import repro
 from repro.kernel import AutoTierDaemon, TierConfig, bind_policy
@@ -22,18 +19,18 @@ from repro.kernel.autotier import StepReport
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
 from repro.units import GB, MiB
 
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_autotier.json"
-
-# REPRO_BENCH_QUICK=1 shrinks the loops for CI smoke runs: same
-# assertions, noisier numbers.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
 KNL_PUS = tuple(range(64))
 HOT_BYTES = 3 * GB
 SWEEPS_PER_INTERVAL = 10
-INTERVALS = 4 if QUICK else 8
-
-_results: dict[str, dict] = {}
+INTERVALS = 8
+PRICED_BUFFERS = 12   # candidates per priced step
+PRICED_ROUNDS = 40
+SHAPE = {
+    "intervals": INTERVALS,
+    "sweeps_per_interval": SWEEPS_PER_INTERVAL,
+    "priced_buffers": PRICED_BUFFERS,
+    "priced_rounds": PRICED_ROUNDS,
+}
 
 
 def _interval_phase() -> KernelPhase:
@@ -105,17 +102,13 @@ def _run_reactive() -> tuple[float, int]:
     return total, converged_at
 
 
-def test_declarative_vs_reactive(benchmark, record):
+def test_declarative_vs_reactive(record, ledger):
     declarative = _run_declarative()
-    reactive, converged_at = benchmark(_run_reactive)
+    reactive, converged_at = _run_reactive()
 
-    _results["convergence"] = {
-        "intervals": INTERVALS,
-        "declarative_seconds": round(declarative, 4),
-        "reactive_seconds": round(reactive, 4),
-        "converged_at": converged_at,
-        "overhead_pct": round((reactive / declarative - 1) * 100, 1),
-    }
+    ledger.row("declarative_seconds", declarative, "s", "lower", "modeled")
+    ledger.row("reactive_seconds", reactive, "s", "lower", "modeled")
+    ledger.row("converged_at", converged_at, "intervals", "lower", "count")
     record(
         "autotier_vs_attributes",
         f"hot buffer: {HOT_BYTES / 1e9:.0f} GB, "
@@ -147,7 +140,7 @@ def _timed(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_priced_step_cost(record):
+def test_priced_step_cost(record, ledger):
     """Price-guided step pricing: one batch call vs a scalar loop.
 
     The daemon prices its whole candidate set (baseline + one variant per
@@ -157,8 +150,7 @@ def test_priced_step_cost(record):
     cost differs."""
     setup = repro.quick_setup("knl-snc4-flat")
     engine, kernel = setup.engine, setup.kernel
-    n_bufs = 6 if QUICK else 12
-    rounds = 10 if QUICK else 40
+    n_bufs, rounds = PRICED_BUFFERS, PRICED_ROUNDS
     cfg = TierConfig(fast_nodes=(4,), slow_nodes=(0,))
     daemon = AutoTierDaemon(kernel, cfg, engine=engine)
     accesses = []
@@ -226,12 +218,9 @@ def test_priced_step_cost(record):
     per_step_batch = batch_s / rounds
     per_step_scalar = scalar_s / rounds
     speedup = per_step_scalar / per_step_batch
-    _results["priced_step"] = {
-        "candidates": n_bufs,
-        "batch_step_us": round(per_step_batch * 1e6, 1),
-        "scalar_step_us": round(per_step_scalar * 1e6, 1),
-        "speedup": round(speedup, 2),
-    }
+    ledger.row("priced_step.batch_us", per_step_batch * 1e6, "us", "lower", "wall")
+    ledger.row("priced_step.scalar_us", per_step_scalar * 1e6, "us", "lower", "wall")
+    ledger.row("priced_step.speedup", speedup, "ratio", "higher", "wall")
     record(
         "autotier_priced_step",
         f"{n_bufs} candidates/step: batch {per_step_batch * 1e6:8.1f} us, "
@@ -240,8 +229,3 @@ def test_priced_step_cost(record):
     # The batch call must never lose to the scalar candidate loop.
     assert speedup >= 1.0
 
-
-def test_write_json(results_dir):
-    assert _results, "autotier benches must run first"
-    RESULTS_JSON.write_text(json.dumps(_results, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}")

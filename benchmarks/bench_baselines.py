@@ -133,7 +133,7 @@ def _hinted_placement(setup):
     return mapping
 
 
-def test_baseline_comparison(benchmark, record):
+def test_baseline_comparison(record):
     rows = [f"{'policy':<20} | {'KNL time':>9} | {'Xeon time':>10}"]
     times = {}
     for label, strategy in (
@@ -159,8 +159,6 @@ def test_baseline_comparison(benchmark, record):
             f"{label:<20} | {fmt(cells['knl'])} | {fmt(cells['xeon']):>10}"
         )
     record("baseline_comparison", "\n".join(rows))
-
-    benchmark(lambda: _attr_placement(repro.quick_setup("knl-snc4-flat")))
 
     attrs, memkind = times["attributes"], times["memkind"]
     autohbw, hinted = times["AutoHBW"], times["intercept+hints"]

@@ -45,7 +45,7 @@ def _triad_fixed(setup, node, total_bytes, threads, pus):
     return 3 * arr / t.seconds / 1e9
 
 
-def test_knl_cache_vs_flat(benchmark, record):
+def test_knl_cache_vs_flat(record):
     cache_setup = repro.quick_setup("knl-snc4-cache", benchmark=True)
     flat_setup = repro.quick_setup("knl-snc4-flat")
     app = StreamApp(flat_setup.engine, flat_setup.allocator)
@@ -68,10 +68,6 @@ def test_knl_cache_vs_flat(benchmark, record):
         )
     record("cache_vs_flat_knl", "\n".join(rows))
 
-    benchmark(
-        lambda: _triad_fixed(cache_setup, 0, int(1.1 * GiB), 16, KNL_PUS)
-    )
-
     # Small working sets: the MCDRAM cache captures everything and the
     # modes tie-ish; the tuned flat mode is never *slower* than the cache
     # (§II-A's claim, given careful tuning).
@@ -81,7 +77,7 @@ def test_knl_cache_vs_flat(benchmark, record):
     assert outcomes[17.9][1] >= outcomes[17.9][0]
 
 
-def test_xeon_2lm_vs_1lm(benchmark, record):
+def test_xeon_2lm_vs_1lm(record):
     lm2 = repro.quick_setup("xeon-cascadelake-2lm", benchmark=True)
     lm1 = repro.quick_setup("xeon-cascadelake-1lm")
     app = StreamApp(lm1.engine, lm1.allocator)
@@ -99,8 +95,6 @@ def test_xeon_2lm_vs_1lm(benchmark, record):
         )
         rows.append(f"{gib:>7.1f}Gi | {auto:>10.2f} | {tuned:>9.2f} | {winner}")
     record("cache_vs_flat_xeon", "\n".join(rows))
-
-    benchmark(lambda: _triad_fixed(lm2, 0, int(22.4 * GiB), 20, XEON_PUS))
 
     # While the working set fits the 192GB DRAM cache, 2LM is competitive;
     # tuned 1LM always at least matches it (productivity vs performance).

@@ -2,8 +2,8 @@
 
 Regenerates the attribute dump with the exact units and initiator labels
 of the paper (Capacity in bytes; Bandwidth 131072/78644 MB/s; Latency
-26/77 ns; values only for local accesses) and benchmarks the native
-discovery path.
+26/77 ns; values only for local accesses) through the native discovery
+path.
 """
 
 import pytest
@@ -19,15 +19,9 @@ def fig2_topology():
     return build_topology(get_platform("xeon-cascadelake-1lm", snc=2))
 
 
-def test_fig5_native_discovery(benchmark, record, fig2_topology):
-    sysfs = build_sysfs(fig2_topology.machine_spec)
-
-    def discover():
-        ma = MemAttrs(fig2_topology)
-        discover_from_sysfs(ma, sysfs)
-        return ma
-
-    memattrs = benchmark(discover)
+def test_fig5_native_discovery(record, fig2_topology):
+    memattrs = MemAttrs(fig2_topology)
+    discover_from_sysfs(memattrs, build_sysfs(fig2_topology.machine_spec))
     text = render_memattrs(memattrs, only=("Capacity", "Bandwidth", "Latency"))
     record("fig5_lstopo_memattrs", text)
 
@@ -57,19 +51,14 @@ def test_fig5_native_discovery(benchmark, record, fig2_topology):
     assert len(bandwidth_lines) == 12  # 6 nodes × 2 perf attributes
 
 
-def test_fig5_remote_gap_filled_by_benchmarks(benchmark, record, fig2_topology):
+def test_fig5_remote_gap_filled_by_benchmarks(record, fig2_topology):
     """§VIII: benchmarking exposes what the HMAT cannot — remote values."""
     from repro.bench import characterize_machine, feed_attributes
     from repro.sim import SimEngine
 
     engine = SimEngine(fig2_topology.machine_spec, fig2_topology)
-
-    def characterize():
-        ma = MemAttrs(fig2_topology)
-        feed_attributes(ma, characterize_machine(engine))
-        return ma
-
-    memattrs = benchmark(characterize)
+    memattrs = MemAttrs(fig2_topology)
+    feed_attributes(memattrs, characterize_machine(engine))
     text = render_memattrs(memattrs, only=("Bandwidth", "Latency"))
     record("fig5_extended_benchmarked", text)
     # Every node now has one value per initiator scope (4 groups... the

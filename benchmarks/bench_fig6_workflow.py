@@ -25,7 +25,7 @@ XEON_PUS = tuple(range(40))
 SCALE = 22
 
 
-def test_fig6_workflow(benchmark, record):
+def test_fig6_workflow(record):
     setup = repro.quick_setup("xeon-cascadelake-1lm")
     driver = Graph500Driver(setup.engine)
     model = TrafficModel.analytic(SCALE)
@@ -78,10 +78,6 @@ def test_fig6_workflow(benchmark, record):
         f"profile-guided placement:   {tuned.harmonic_teps:.3e} TEPS "
         f"({speedup:.2f}x over naive)\n"
         f"exhaustive oracle:          {oracle_teps:.3e} TEPS",
-    )
-
-    benchmark(
-        lambda: recommend_requests(setup.machine, run, model.buffer_sizes())
     )
 
     # The methods agree on the critical buffer...

@@ -30,9 +30,9 @@ def _graph500_objects(setup, pus, node):
     return object_analysis(run, alloc_sites=GRAPH500_SITES)
 
 
-def test_fig7a_graph500_objects(benchmark, record, xeon_setup, xeon_pus):
+def test_fig7a_graph500_objects(record, xeon_setup, xeon_pus):
     dram_objs = _graph500_objects(xeon_setup, xeon_pus, 0)
-    nvd_objs = benchmark(lambda: _graph500_objects(xeon_setup, xeon_pus, 2))
+    nvd_objs = _graph500_objects(xeon_setup, xeon_pus, 2)
     record(
         "fig7a_graph500_memory_objects",
         "--- placed on DRAM ---\n"
@@ -52,7 +52,7 @@ def test_fig7a_graph500_objects(benchmark, record, xeon_setup, xeon_pus):
     assert nvd_objs[0].stall_seconds > dram_objs[0].stall_seconds * 2
 
 
-def test_fig7b_stream_objects(benchmark, record, xeon_setup, xeon_pus):
+def test_fig7b_stream_objects(record, xeon_setup, xeon_pus):
     arr = int(22.4 * GiB / 3)
 
     def run_on(node):
@@ -77,7 +77,7 @@ def test_fig7b_stream_objects(benchmark, record, xeon_setup, xeon_pus):
         )
 
     dram = run_on(0)
-    nvd = benchmark(lambda: run_on(2))
+    nvd = run_on(2)
     record(
         "fig7b_stream_memory_objects",
         "--- placed on DRAM ---\n"
@@ -94,7 +94,7 @@ def test_fig7b_stream_objects(benchmark, record, xeon_setup, xeon_pus):
     assert {o.pattern for o in dram} == {PatternKind.STREAM}
 
 
-def test_fig7_bandwidth_timeline(benchmark, record, xeon_setup, xeon_pus):
+def test_fig7_bandwidth_timeline(record, xeon_setup, xeon_pus):
     """The bandwidth-over-time trace of Fig. 7, per BFS level: the DRAM
     run's trace (top) against the NVDIMM run's (bottom), like the paired
     VTune screenshots."""
@@ -112,7 +112,7 @@ def test_fig7_bandwidth_timeline(benchmark, record, xeon_setup, xeon_pus):
         )
 
     dram = run_on(0)
-    nvd = benchmark(lambda: run_on(2))
+    nvd = run_on(2)
     record(
         "fig7_bandwidth_timeline",
         "--- memory on DRAM ---\n"

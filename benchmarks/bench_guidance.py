@@ -24,10 +24,13 @@ migration time + sampling overhead, all modeled seconds):
   the sweep.  Small periods buy accuracy with overhead (and throttling
   bias); large periods are nearly free but noisy.
 
-A 100-seed differential (20 under ``REPRO_BENCH_QUICK``) replays every
-seed twice and fingerprints estimates, migrations and final page maps —
-pinning the determinism contract: same seed + same period ⇒ bit-identical
-runs.
+A 100-seed differential replays every seed twice and fingerprints
+estimates, migrations and final page maps — pinning the determinism
+contract: same seed + same period ⇒ bit-identical runs.
+
+Every modeled second, ratio and count of the frontier, and the number of
+distinct fingerprints, is an exact row of
+``benchmarks/results/bench_guidance.json``.
 
 Migration granularity note: runs use 2 MiB (THP-style) pages — at 4 KiB
 the per-page kernel overhead, not the copy bandwidth, dominates
@@ -35,11 +38,7 @@ multi-GB moves and buries the placement signal this bench measures.
 """
 
 import hashlib
-import json
-import os
-import pathlib
 
-import repro
 from repro.apps import phased_graph500, rotating_triad
 from repro.kernel.autotier import AutoTierDaemon, TierConfig
 from repro.kernel.pagealloc import KernelMemoryManager
@@ -48,18 +47,18 @@ from repro.profiler import GuidanceLoop, PebsSampler
 from repro.sim import Placement
 from repro.units import GB, MiB
 
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_guidance.json"
-
-# REPRO_BENCH_QUICK=1 shrinks the loops for CI smoke runs: same
-# assertions, noisier numbers.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
 KNL_PUS = tuple(range(64))
-INTERVALS = 8 if QUICK else 16
-SEEDS = 20 if QUICK else 100
+INTERVALS = 16
+SEEDS = 100
 PERIODS = (512, 4096, 32768, 262144, 2097152)
 #: the period a deployment would pick: near-oracle accuracy, tiny overhead.
 HEADLINE_PERIOD = 32768
+SHAPE = {
+    "intervals": INTERVALS,
+    "seeds": SEEDS,
+    "periods": list(PERIODS),
+    "headline_period": HEADLINE_PERIOD,
+}
 
 TIER_CFG = dict(
     fast_nodes=(4,),
@@ -71,7 +70,16 @@ TIER_CFG = dict(
     decay=0.25,
 )
 
-_results: dict[str, dict] = {}
+#: Per sweep point: report field -> (unit, better, ledger kind).
+SWEEP_ROWS = {
+    "total_seconds": ("s", "lower", "modeled"),
+    "phase_seconds": ("s", "lower", "modeled"),
+    "migration_seconds": ("s", "lower", "modeled"),
+    "overhead_seconds": ("s", "lower", "modeled"),
+    "mean_estimate_error": ("ratio", "lower", "modeled"),
+    "replacements": ("count", "lower", "count"),
+    "bytes_moved": ("B", "lower", "count"),
+}
 
 
 def _workloads():
@@ -129,43 +137,34 @@ def _guided_loop(setup, workload, *, period=None, seed=0, engine=True):
     )
 
 
-def _sweep_point(report, period: int) -> dict:
-    return {
-        "period": period,
-        "total_seconds": round(report.total_seconds, 4),
-        "phase_seconds": round(report.phase_seconds, 4),
-        "migration_seconds": round(report.migration_seconds, 4),
-        "overhead_seconds": round(report.overhead_seconds, 4),
-        "estimate_error": round(report.mean_estimate_error, 4),
-        "replacements": report.replacements,
-        "bytes_moved_gb": round(report.bytes_moved / 1e9, 3),
-    }
-
-
-def _frontier(setup, name: str, workload, record) -> dict:
+def _frontier(setup, name: str, workload, record, ledger) -> tuple[dict, dict]:
+    """Price static, ground truth and the period sweep; record the rows
+    and the archive; returns the headline summary and the sweep reports."""
     static_seconds = _static_run(setup, workload)
     gt = _guided_loop(setup, workload).run(workload)
-    sweep = []
-    by_period = {}
-    for period in PERIODS:
-        report = _guided_loop(setup, workload, period=period).run(workload)
-        sweep.append(_sweep_point(report, period))
-        by_period[period] = report
-
-    online = by_period[HEADLINE_PERIOD]
-    summary = {
-        "intervals": INTERVALS,
-        "static_seconds": round(static_seconds, 4),
-        "ground_truth_seconds": round(gt.total_seconds, 4),
-        "ground_truth_replacements": gt.replacements,
-        "headline_period": HEADLINE_PERIOD,
-        "online_seconds": round(online.total_seconds, 4),
-        "win_vs_static": round(static_seconds / online.total_seconds, 4),
-        "gap_vs_ground_truth": round(
-            online.total_seconds / gt.total_seconds, 4
-        ),
-        "sweep": sweep,
+    sweep = {
+        period: _guided_loop(setup, workload, period=period).run(workload)
+        for period in PERIODS
     }
+    online = sweep[HEADLINE_PERIOD]
+    summary = {
+        "static_seconds": static_seconds,
+        "ground_truth_seconds": gt.total_seconds,
+        "online_seconds": online.total_seconds,
+        "win_vs_static": static_seconds / online.total_seconds,
+        "gap_vs_ground_truth": online.total_seconds / gt.total_seconds,
+    }
+    for key in ("static_seconds", "ground_truth_seconds", "online_seconds"):
+        ledger.row(f"{name}.{key}", summary[key], "s", "lower", "modeled")
+    for key, better in (("win_vs_static", "higher"), ("gap_vs_ground_truth", "lower")):
+        ledger.row(f"{name}.{key}", summary[key], "ratio", better, "modeled")
+    ledger.row(
+        f"{name}.ground_truth_replacements", gt.replacements, "count", "lower", "count"
+    )
+    for period, report in sweep.items():
+        for field, (unit, better, kind) in SWEEP_ROWS.items():
+            value = getattr(report, field)
+            ledger.row(f"{name}.p{period}.{field}", value, unit, better, kind)
 
     lines = [
         f"{name}: {INTERVALS} intervals, tier MCDRAM(4)/DRAM(0), 2MiB pages",
@@ -174,51 +173,45 @@ def _frontier(setup, name: str, workload, record) -> dict:
         f"({gt.replacements} re-placements, {gt.bytes_moved / 1e9:.1f} GB moved)",
         "  period      total    phases  migrate  sampling  est.err  moves",
     ]
-    for point in sweep:
+    for period, report in sweep.items():
         lines.append(
-            f"  {point['period']:>7} {point['total_seconds']:9.3f}"
-            f" {point['phase_seconds']:9.3f}"
-            f" {point['migration_seconds']:8.3f}"
-            f" {point['overhead_seconds']:9.3f}"
-            f" {point['estimate_error'] * 100:7.1f}%"
-            f" {point['replacements']:6d}"
+            f"  {period:>7} {report.total_seconds:9.3f}"
+            f" {report.phase_seconds:9.3f}"
+            f" {report.migration_seconds:8.3f}"
+            f" {report.overhead_seconds:9.3f}"
+            f" {report.mean_estimate_error * 100:7.1f}%"
+            f" {report.replacements:6d}"
         )
     lines.append(
         f"  headline p={HEADLINE_PERIOD}: {summary['win_vs_static']:.2f}x vs "
         f"static, {summary['gap_vs_ground_truth']:.2f}x of ground truth"
     )
     record(f"guidance_frontier_{name}", "\n".join(lines))
-    return summary
+    return summary, sweep
 
 
-def test_frontier_rotating_triad(knl_setup, record):
+def test_frontier_rotating_triad(knl_setup, record, ledger):
     workload = _workloads()["rotating_triad"]
-    summary = _frontier(knl_setup, "rotating_triad", workload, record)
-    _results["rotating_triad"] = summary
+    summary, sweep = _frontier(knl_setup, "rotating_triad", workload, record, ledger)
 
     # The point of the PR: sampled guidance beats static hints on a
     # phase-changing workload...
     assert summary["online_seconds"] < summary["static_seconds"]
-    # ...by a sane margin (full run shows ~1.6x; quick runs are noisier).
-    assert summary["win_vs_static"] > (1.1 if QUICK else 1.3)
+    # ...by a sane margin (the full run shows ~1.6x)...
+    assert summary["win_vs_static"] > 1.3
     # ...while staying within a bounded gap of the ground-truth oracle.
     assert summary["gap_vs_ground_truth"] < 1.15
     # The frontier has both ends: the tightest period must pay more
     # sampling overhead than the headline point pays in total...
-    tight = summary["sweep"][0]
-    headline = next(
-        p for p in summary["sweep"] if p["period"] == HEADLINE_PERIOD
-    )
-    assert tight["overhead_seconds"] > headline["overhead_seconds"] * 10
+    headline = sweep[HEADLINE_PERIOD]
+    assert sweep[PERIODS[0]].overhead_seconds > headline.overhead_seconds * 10
     # ...and the loosest period must be noisier than the headline point.
-    loose = summary["sweep"][-1]
-    assert loose["estimate_error"] > headline["estimate_error"]
+    assert sweep[PERIODS[-1]].mean_estimate_error > headline.mean_estimate_error
 
 
-def test_frontier_phased_graph500(knl_setup, record):
+def test_frontier_phased_graph500(knl_setup, record, ledger):
     workload = _workloads()["phased_graph500"]
-    summary = _frontier(knl_setup, "phased_graph500", workload, record)
-    _results["phased_graph500"] = summary
+    summary, _ = _frontier(knl_setup, "phased_graph500", workload, record, ledger)
 
     # Capacity-constrained alternation: the win is structurally smaller
     # than rotating_triad's (the static hint is right half the time) but
@@ -254,7 +247,7 @@ def _fingerprint(loop, workload) -> str:
     return digest.hexdigest()
 
 
-def test_seed_differential(knl_setup, record):
+def test_seed_differential(knl_setup, record, ledger):
     """Same seed + same period ⇒ bit-identical estimates, migrations and
     final page maps; different seeds genuinely differ."""
     workload = _workloads()["rotating_triad"]
@@ -287,30 +280,12 @@ def test_seed_differential(knl_setup, record):
     # The sampler is actually sampling: different seeds see different
     # noise (a constant fingerprint would mean the estimates ignore it).
     assert distinct > 1
-    _results["differential"] = {
-        "seeds": SEEDS,
-        "runs_per_seed": 2,
-        "period": HEADLINE_PERIOD,
-        "distinct_fingerprints": distinct,
-        "all_replays_identical": True,
-    }
+    ledger.row(
+        "differential.distinct_fingerprints", distinct, "count", "higher", "count"
+    )
     record(
         "guidance_differential",
         f"{SEEDS} seeds x 2 runs at period {HEADLINE_PERIOD}: "
         f"all replays bit-identical, {distinct} distinct fingerprints",
     )
 
-
-def test_write_json(results_dir):
-    assert _results, "guidance benches must run first"
-    payload = {
-        "shape": {
-            "intervals": INTERVALS,
-            "seeds": SEEDS,
-            "periods": list(PERIODS),
-            "quick": QUICK,
-        },
-        **_results,
-    }
-    RESULTS_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}")

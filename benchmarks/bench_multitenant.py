@@ -42,7 +42,7 @@ def _job(name, node, nbytes=8 * GB, threads=10):
     )
 
 
-def test_contention_vs_isolation(benchmark, record, xeon_setup):
+def test_contention_vs_isolation(record, xeon_setup):
     engine = xeon_setup.engine
 
     shared = price_concurrent(engine, (_job("app1", 0), _job("app2", 0)))
@@ -61,10 +61,6 @@ def test_contention_vs_isolation(benchmark, record, xeon_setup):
         + "\nsecond tenant moved to the NVDIMM node:\n" + fmt(isolated),
     )
 
-    benchmark(
-        lambda: price_concurrent(engine, (_job("a", 0), _job("b", 0)))
-    )
-
     app1_shared = next(o for o in shared if o.name == "app1")
     app1_isolated = next(o for o in isolated if o.name == "app1")
     app2_isolated = next(o for o in isolated if o.name == "app2")
@@ -78,7 +74,7 @@ def test_contention_vs_isolation(benchmark, record, xeon_setup):
     assert app2_isolated.seconds > app1_isolated.seconds  # NVDIMM is slower
 
 
-def test_when_isolation_wins(benchmark, record, xeon_setup):
+def test_when_isolation_wins(record, xeon_setup):
     """Sweep the second tenant's size: the slower-but-private NVDIMM beats
     the shared DRAM once contention outweighs the medium gap... or not —
     DRAM at half rate (38 GB/s) still beats private NVDIMM reads
@@ -102,9 +98,6 @@ def test_when_isolation_wins(benchmark, record, xeon_setup):
         rows.append(f"{nbytes / GB:>8.0f} | {s * 1e3:>9.1f}ms | {p * 1e3:>12.1f}ms")
     record("multitenant_crossover", "\n".join(rows))
 
-    benchmark(
-        lambda: price_concurrent(engine, (_job("a", 0), _job("b", 2, 2 * GB)))
-    )
     # Both options complete; the table records which side of the crossover
     # this platform's numbers fall on.
     assert all(s > 0 and p > 0 for s, p in results.values())

@@ -8,15 +8,12 @@ the scalar :meth:`SimEngine.price_prepared` loop vs one
 (``Placement`` objects in, including the fraction-tensor flattening),
 then on a prebuilt tensor (the search/autotier fast path, which builds
 one-hot tensors directly).  Every batch row is asserted **bit-identical**
-to its scalar pricing before any timing is trusted.  Results land in
-``benchmarks/results/BENCH_pricing_batch.json``.
+to its scalar pricing before any timing is trusted.  Rates and speedups
+are ``wall`` rows of ``benchmarks/results/bench_pricing_batch.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import random
 import time
 
@@ -24,21 +21,10 @@ import repro
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
 from repro.units import GB, MiB
 
-RESULTS_JSON = (
-    pathlib.Path(__file__).parent / "results" / "BENCH_pricing_batch.json"
-)
-
-# REPRO_BENCH_QUICK=1 shrinks the batches ~8x for CI smoke runs: same
-# identity assertions, noisier throughput numbers.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-N_PLACEMENTS = 512 if QUICK else 4096
+N_PLACEMENTS = 4096
 REPEATS = 3
 MIN_SPEEDUP = 10.0
-
-PRESETS = ("xeon-cascadelake-1lm", "knl-snc4-flat")
-
-_results: dict[str, dict] = {}
+SHAPE = {"placements": N_PLACEMENTS, "repeats": REPEATS}
 
 
 def _phase() -> KernelPhase:
@@ -93,7 +79,8 @@ def _timed(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def _run_preset(preset: str) -> dict:
+def _run_preset(preset: str, prefix: str, record, ledger) -> dict[str, float]:
+    """Check, time and record one preset; returns the batch speedups."""
     setup = repro.quick_setup(preset)
     engine = setup.engine
     axis = tuple(sorted(n.os_index for n in setup.machine.numa_nodes()))
@@ -125,44 +112,31 @@ def _run_preset(preset: str) -> dict:
         lambda: engine.price_placements_batch(compiled, tensor)
     )
 
-    n = len(placements)
-    return {
-        "rows": n,
-        "nodes": len(axis),
-        "scalar_rows_per_s": round(n / scalar_s),
-        "batch_rows_per_s": round(n / e2e_s),
-        "batch_tensor_rows_per_s": round(n / tensor_s),
-        "speedup_e2e": round(scalar_s / e2e_s, 2),
-        "speedup_tensor": round(scalar_s / tensor_s, 2),
-        "bit_identical": True,
-    }
-
-
-def _fmt(result: dict) -> str:
-    return (
-        f"scalar {result['scalar_rows_per_s']:>9,} rows/s | "
-        f"batch {result['batch_rows_per_s']:>9,} rows/s "
-        f"({result['speedup_e2e']:.1f}x) | "
-        f"tensor {result['batch_tensor_rows_per_s']:>9,} rows/s "
-        f"({result['speedup_tensor']:.1f}x)"
+    timings = {"scalar": scalar_s, "batch": e2e_s, "tensor": tensor_s}
+    for name, seconds in timings.items():
+        rate = N_PLACEMENTS / seconds
+        ledger.row(f"{prefix}.{name}_rows_per_s", rate, "1/s", "higher", "wall")
+    speedups = {"e2e": scalar_s / e2e_s, "tensor": scalar_s / tensor_s}
+    for name, speedup in speedups.items():
+        ledger.row(f"{prefix}.speedup_{name}", speedup, "ratio", "higher", "wall")
+    record(
+        f"pricing_batch_{prefix}",
+        f"scalar {round(N_PLACEMENTS / scalar_s):>9,} rows/s | "
+        f"batch {round(N_PLACEMENTS / e2e_s):>9,} rows/s "
+        f"({speedups['e2e']:.1f}x) | "
+        f"tensor {round(N_PLACEMENTS / tensor_s):>9,} rows/s "
+        f"({speedups['tensor']:.1f}x)",
     )
+    return speedups
 
 
-def test_xeon_batch_throughput(record):
-    _results["xeon-cascadelake-1lm"] = r = _run_preset("xeon-cascadelake-1lm")
-    record("pricing_batch_xeon", _fmt(r))
-    assert r["speedup_tensor"] >= MIN_SPEEDUP
-    assert r["speedup_e2e"] >= 3.0
+def test_xeon_batch_throughput(record, ledger):
+    speedups = _run_preset("xeon-cascadelake-1lm", "xeon", record, ledger)
+    assert speedups["tensor"] >= MIN_SPEEDUP
+    assert speedups["e2e"] >= 3.0
 
 
-def test_knl_batch_throughput(record):
-    _results["knl-snc4-flat"] = r = _run_preset("knl-snc4-flat")
-    record("pricing_batch_knl", _fmt(r))
-    assert r["speedup_tensor"] >= MIN_SPEEDUP
-    assert r["speedup_e2e"] >= 3.0
-
-
-def test_write_json(results_dir):
-    assert _results, "preset benches must run first"
-    RESULTS_JSON.write_text(json.dumps({"presets": _results}, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}")
+def test_knl_batch_throughput(record, ledger):
+    speedups = _run_preset("knl-snc4-flat", "knl", record, ledger)
+    assert speedups["tensor"] >= MIN_SPEEDUP
+    assert speedups["e2e"] >= 3.0

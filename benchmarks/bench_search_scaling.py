@@ -8,21 +8,18 @@ reference implementation (inlined below as the serial oracle) against
 the branch-and-bound search on the Graph500 Xeon workload:
 
 * ``identity`` tests assert the pruned search returns the serial
-  oracle's optimum **exactly** (same assignment, bit-identical seconds)
-  and the unpruned walk's top-8 on 2^16 — these gate CI;
-* ``scale`` walks a 2^16 space that PR 1's budget refused outright;
-* ``speedup`` asserts the >= 5x wall-clock win (timing-dependent, run
-  with continue-on-error in CI).
+  oracle's optimum **exactly** (same assignment, bit-identical seconds),
+  at least 5x faster in wall clock, and the unpruned walk's top-8 on 2^16;
+* ``scale`` walks a 2^16 space that PR 1's budget refused outright.
 
-Timings land in ``benchmarks/results/BENCH_search_scaling.json``.
+The optima and leaf counts are exact ``modeled``/``count`` rows of
+``benchmarks/results/bench_search_scaling.json``; the timings are
+``wall`` rows there.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import pathlib
 import time
 
 import pytest
@@ -34,9 +31,8 @@ from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement, SimEngi
 from repro.units import MiB
 
 XEON_PUS = tuple(range(40))
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_search_scaling.json"
-
-_results: dict[str, dict] = {}
+REPEATS = 3   # best-of-N wall clock
+SHAPE = {"repeats": REPEATS}
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +79,8 @@ def _pr1_reference(engine, phases, sizes, nodes, pus):
     return tuple(results)
 
 
-# REPRO_BENCH_QUICK=1: single timing repeat for CI smoke runs.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-
-def _timed(fn, repeats: int | None = None):
+def _timed(fn, repeats: int = REPEATS):
     """Best-of-N wall clock; returns (seconds, last result)."""
-    if repeats is None:
-        repeats = 1 if QUICK else 3
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -123,8 +113,19 @@ def _large_workload():
     return tuple(phases), sizes
 
 
-def test_pruned_identity_vs_serial_oracle(record, setup, workload):
-    """Gating: the branch-and-bound optimum IS the serial oracle's optimum."""
+def _search_rows(ledger, prefix, result) -> None:
+    ledger.row(
+        f"{prefix}.best_seconds", result.best.seconds, "s", "lower", "modeled",
+        assignment=result.best.as_dict(),
+    )
+    for field in ("space_size", "leaves_priced", "bound_pruned", "capacity_pruned"):
+        value = getattr(result.stats, field)
+        ledger.row(f"{prefix}.{field}", value, "count", "lower", "count")
+
+
+def test_pruned_identity_vs_serial_oracle(record, ledger, setup, workload):
+    """The branch-and-bound optimum IS the serial oracle's optimum, and is
+    found at least 5x faster."""
     phases, sizes = workload
     nodes = (0, 1, 2, 3)
 
@@ -145,18 +146,12 @@ def test_pruned_identity_vs_serial_oracle(record, setup, workload):
     assert pruned.best.assignment == oracle[0].assignment
     assert pruned.best.seconds == oracle[0].seconds
 
-    _results["graph500_xeon"] = {
-        "workload": "graph500 scale 20, per-level phases, nodes (0,1,2,3)",
-        "space": pruned.stats.space_size,
-        "serial_oracle_ms": round(serial_s * 1e3, 3),
-        "pruned_ms": round(pruned_s * 1e3, 3),
-        "speedup_pruned": round(serial_s / pruned_s, 2),
-        "leaves_priced": pruned.stats.leaves_priced,
-        "bound_pruned": pruned.stats.bound_pruned,
-        "best_assignment": pruned.best.as_dict(),
-        "best_seconds": pruned.best.seconds,
-        "identical_optimum": True,
-    }
+    _search_rows(ledger, "graph500_xeon", pruned)
+    ledger.row("graph500_xeon.serial_oracle_ms", serial_s * 1e3, "ms", "lower", "wall")
+    ledger.row("graph500_xeon.pruned_ms", pruned_s * 1e3, "ms", "lower", "wall")
+    ledger.row(
+        "graph500_xeon.speedup_pruned", serial_s / pruned_s, "ratio", "higher", "wall"
+    )
     record(
         "search_scaling",
         f"Graph500 scale 20, per-level, 4 nodes -> space {pruned.stats.space_size}\n"
@@ -167,10 +162,11 @@ def test_pruned_identity_vs_serial_oracle(record, setup, workload):
         f"optimum identical: {pruned.best.as_dict()} "
         f"@ {pruned.best.seconds * 1e3:.4f} ms",
     )
+    assert serial_s / pruned_s >= 5.0
 
 
-def test_pruned_identity_large_space(setup):
-    """Gating: branch-and-bound keeps the unpruned walk's top-8 on 2^16."""
+def test_pruned_identity_large_space(ledger, setup):
+    """Branch-and-bound keeps the unpruned walk's top-8 on 2^16."""
     phases, sizes = _large_workload()
 
     pruned_s, pruned = _timed(
@@ -189,17 +185,13 @@ def test_pruned_identity_large_space(setup):
     assert pruned.candidates == unpruned.candidates
     assert unpruned.stats.leaves_priced == 2 ** 16
 
-    _results["large_space_2to16"] = {
-        "workload": "4 phases x 4 chunk buffers, 2 nodes",
-        "space": pruned.stats.space_size,
-        "pruned_ms": round(pruned_s * 1e3, 3),
-        "unpruned_ms": round(unpruned_s * 1e3, 3),
-        "speedup_pruned": round(unpruned_s / pruned_s, 2),
-        "leaves_priced": pruned.stats.leaves_priced,
-        "bound_pruned": pruned.stats.bound_pruned,
-        "truncated": pruned.stats.truncated,
-        "identical_candidates": True,
-    }
+    _search_rows(ledger, "large_space_2to16", pruned)
+    ledger.row("large_space_2to16.pruned_ms", pruned_s * 1e3, "ms", "lower", "wall")
+    ledger.row("large_space_2to16.unpruned_ms", unpruned_s * 1e3, "ms", "lower", "wall")
+    ledger.row(
+        "large_space_2to16.speedup_pruned",
+        unpruned_s / pruned_s, "ratio", "higher", "wall",
+    )
 
 
 def test_scale_2_to_16_completes(setup):
@@ -218,15 +210,3 @@ def test_scale_2_to_16_completes(setup):
     )
     assert accounted == 2 ** 16
 
-
-def test_speedup_threshold():
-    """>= 5x over the PR 1 serial path at equal optimum (timing-dependent)."""
-    if "graph500_xeon" not in _results:
-        pytest.skip("identity bench must run first to collect timings")
-    assert _results["graph500_xeon"]["speedup_pruned"] >= 5.0
-
-
-def test_write_json(results_dir):
-    assert _results, "search benches must run first"
-    RESULTS_JSON.write_text(json.dumps(_results, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}")

@@ -39,7 +39,7 @@ def _gbps(engine, placement, nbytes=TOTAL):
     return nbytes / t.seconds / 1e9
 
 
-def test_split_fraction_sweep(benchmark, record):
+def test_split_fraction_sweep(record):
     setup = repro.quick_setup("knl-snc4-flat")
     engine = setup.engine
 
@@ -63,16 +63,13 @@ def test_split_fraction_sweep(benchmark, record):
                 f"(theory: ~75% = B_hbm/(B_hbm+B_dram))")
     record("split_arrays_sweep", "\n".join(rows))
 
-    benchmark(lambda: _gbps(engine, Placement({"arr": {4: 0.75, 0: 0.25}}),
-                            nbytes=3 * GB))
-
     assert best_pct == 75
     # The optimal split beats both pure placements: aggregate controllers.
     assert results[75] > results[100] * 1.2
     assert results[75] > results[0] * 3
 
 
-def test_allocator_partial_spill_approximates_optimum(benchmark, record):
+def test_allocator_partial_spill_approximates_optimum(record):
     """`allow_partial` fills MCDRAM first and spills the rest to DDR4 —
     for a 6 GB array on a ~3.9 GB-free MCDRAM that lands at ≈65% HBM,
     within reach of the 75% optimum and far above whole-buffer fallback."""
@@ -99,8 +96,6 @@ def test_allocator_partial_spill_approximates_optimum(benchmark, record):
         f"allow_partial spill: {hbm_fraction:.0%} on MCDRAM -> {split_gbps:.2f} GB/s\n"
         f"whole-buffer fallback -> {whole_node}: {whole_gbps:.2f} GB/s",
     )
-
-    benchmark(lambda: _gbps(engine, split_placement))
 
     assert 0.5 < hbm_fraction < 0.8
     assert whole_node == "DRAM"          # 6 GB cannot fit MCDRAM whole

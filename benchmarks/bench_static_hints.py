@@ -9,17 +9,12 @@ branch-and-bound oracle optimizes.  The acceptance bar is the hint
 placement landing within 10% of the search optimum's modeled seconds on
 Graph500 (Xeon DRAM/NVDIMM) and STREAM Triad (KNL DRAM/MCDRAM).
 
-Results land in ``benchmarks/results/BENCH_static_hints.json``.
+The hint and optimum seconds and their ratio are exact ``modeled`` rows
+of ``benchmarks/results/bench_static_hints.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-import pytest
-
-import repro
 from repro.analysis import app_kernels, hint_placement, hints_for
 from repro.apps.graph500 import Graph500Config, TrafficModel
 from repro.apps.stream_app import triad_accesses
@@ -28,9 +23,6 @@ from repro.sim import KernelPhase
 
 XEON_PUS = tuple(range(40))
 KNL_PUS = tuple(range(64))
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_static_hints.json"
-
-_results: dict[str, dict] = {}
 
 
 def _spec(name):
@@ -50,9 +42,6 @@ def _score(setup, spec, phases, sizes, nodes, pus):
     best = result.candidates[0]
     return {
         "hints": hints,
-        "hint_placement": {
-            b: {str(n): f for n, f in placement.of(b).items()} for b in sizes
-        },
         "hint_seconds": hint_seconds,
         "optimum_seconds": best.seconds,
         "optimum_assignment": dict(best.assignment),
@@ -60,7 +49,16 @@ def _score(setup, spec, phases, sizes, nodes, pus):
     }
 
 
-def test_graph500_hints_near_optimal(xeon_setup, record):
+def _rows(ledger, prefix, entry) -> None:
+    ledger.row(f"{prefix}.hint_seconds", entry["hint_seconds"], "s", "lower", "modeled")
+    ledger.row(
+        f"{prefix}.optimum_seconds", entry["optimum_seconds"], "s", "lower", "modeled",
+        assignment=entry["optimum_assignment"],
+    )
+    ledger.row(f"{prefix}.ratio", entry["ratio"], "ratio", "lower", "modeled")
+
+
+def test_graph500_hints_near_optimal(xeon_setup, record, ledger):
     """Graph500 scale 20 on Xeon nodes (0=DRAM, 2=NVDIMM)."""
     model = TrafficModel.analytic(20)
     cfg = Graph500Config(scale=20, nroots=1, threads=16)
@@ -72,7 +70,7 @@ def test_graph500_hints_near_optimal(xeon_setup, record):
         (0, 2),
         XEON_PUS,
     )
-    _results["graph500_xeon"] = entry
+    _rows(ledger, "graph500_xeon", entry)
     record(
         "BENCH_static_hints_graph500",
         "\n".join(
@@ -84,7 +82,7 @@ def test_graph500_hints_near_optimal(xeon_setup, record):
     assert entry["ratio"] <= 1.10
 
 
-def test_stream_triad_hints_near_optimal(knl_setup, record):
+def test_stream_triad_hints_near_optimal(knl_setup, record, ledger):
     """STREAM Triad, 3 x 256 MiB on KNL nodes (0=DRAM, 4=MCDRAM)."""
     array_bytes = 256 << 20
     sizes = {"a": array_bytes, "b": array_bytes, "c": array_bytes}
@@ -94,7 +92,7 @@ def test_stream_triad_hints_near_optimal(knl_setup, record):
     entry = _score(
         knl_setup, _spec("stream_triad"), [phase], sizes, (0, 4), KNL_PUS
     )
-    _results["stream_triad_knl"] = entry
+    _rows(ledger, "stream_triad_knl", entry)
     record(
         "BENCH_static_hints_stream",
         "\n".join(
@@ -105,8 +103,3 @@ def test_stream_triad_hints_near_optimal(knl_setup, record):
     )
     assert entry["ratio"] <= 1.10
 
-
-def test_write_json(results_dir):
-    assert _results, "hint benches must run first"
-    RESULTS_JSON.write_text(json.dumps(_results, indent=2) + "\n")
-    print(f"archived {RESULTS_JSON}")

@@ -24,20 +24,16 @@ def _coverage(memattrs) -> dict[str, bool]:
     return {attr.name: memattrs.has_values(attr) for attr in memattrs.attributes()}
 
 
-def test_table1_support_matrix(benchmark, record):
+def test_table1_support_matrix(record):
     xeon = build_topology(get_platform("xeon-cascadelake-1lm"))
     knl = build_topology(get_platform("knl-snc4-flat"))
 
     native = native_discovery(xeon)
 
-    def characterize_knl():
-        ma = MemAttrs(knl)
-        feed_attributes(
-            ma, characterize_machine(SimEngine(knl.machine_spec, knl))
-        )
-        return ma
-
-    benched = benchmark(characterize_knl)
+    benched = MemAttrs(knl)
+    feed_attributes(
+        benched, characterize_machine(SimEngine(knl.machine_spec, knl))
+    )
     stream_triad_attribute(benched)  # the user-specified custom metric row
 
     native_cov = _coverage(native)
@@ -67,9 +63,7 @@ def test_table1_support_matrix(benchmark, record):
     assert "StreamTriad" not in native_cov  # not registered there
 
 
-def test_native_discovery_speed(benchmark):
-    """Discovery must be cheap enough to run at application startup."""
-    machine = get_platform("xeon-cascadelake-1lm", snc=2)
-    topo = build_topology(machine)
-    result = benchmark(lambda: native_discovery(topo))
-    assert result.has_values("Bandwidth")
+def test_native_discovery_snc2():
+    """Native discovery fills Bandwidth on the SNC-2 Xeon too."""
+    topo = build_topology(get_platform("xeon-cascadelake-1lm", snc=2))
+    assert native_discovery(topo).has_values("Bandwidth")

@@ -8,6 +8,10 @@ under whatever placement ``mem_alloc`` produced:
   buffer saturates) vs Latency → DRAM (75/75/OOM);
 * (b) KNL, 16 threads on one cluster: Bandwidth → MCDRAM (85-90, then
   capacity fallback to DRAM at 17.9 GiB ⇒ 29.2) vs Latency → DRAM (29.2).
+
+Each of the 12 cells, the OOM one included, is an exact ``modeled``
+ledger row carrying the paper's value and, where the bench holds the
+cell to a reference, that reference and its relative tolerance.
 """
 
 import pytest
@@ -27,6 +31,29 @@ PAPER_3B = {
     3.4: (89.90, 29.17),
     17.9: (29.16, None),
 }
+#: Cells the bench holds to a reference value, per table half:
+#: (total GiB, column) -> (reference, relative tolerance).
+CHECKS = {
+    # Latency column flat at ~75 until OOM; Capacity column collapses
+    # past the write buffer and flattens.
+    "3a": {
+        (22.4, "latency"): (75.06, 0.05),
+        (89.4, "latency"): (75.24, 0.05),
+        (22.4, "capacity"): (31.59, 0.08),
+        (89.4, "capacity"): (10.49, 0.15),
+        (223.5, "capacity"): (9.46, 0.15),
+    },
+    # Small sizes run on MCDRAM at ~88 GB/s; at 17.9 GiB the 4 GB MCDRAM
+    # overflows, the allocator falls back whole-buffer to DRAM, and the
+    # run lands exactly at DRAM speed — the paper's 29.16 crossover.
+    # Latency column = DRAM speed at every size that fits.
+    "3b": {
+        (1.1, "bandwidth"): (88.6, 0.06),
+        (3.4, "bandwidth"): (88.6, 0.06),
+        (17.9, "bandwidth"): (29.3, 0.06),
+        (1.1, "latency"): (29.3, 0.06),
+    },
+}
 
 
 def _fresh_xeon_app():
@@ -41,7 +68,21 @@ def _fresh_knl_app():
     return StreamApp(setup.engine, setup.allocator)
 
 
-def test_table3a_xeon(benchmark, record, xeon_pus):
+def _cell(ledger, table, gib, column, value, paper):
+    """One Table III cell as an exact modeled row (``None`` = OOM)."""
+    ledger.row(
+        f"{table}.{gib}GiB.{column}", value, "GB/s", "higher", "modeled",
+        paper=paper, approx=CHECKS[table].get((gib, column)),
+    )
+
+
+def _check_cells(ledger, table):
+    for (gib, column), (reference, rel) in CHECKS[table].items():
+        value = ledger.metrics[f"{table}.{gib}GiB.{column}"]["value"]
+        assert value == pytest.approx(reference, rel=rel), (table, gib, column)
+
+
+def test_table3a_xeon(record, ledger, xeon_pus):
     app = _fresh_xeon_app()
     rows = [
         f"{'Total':>9} | {'Capacity':>9} | {'Latency':>8} |"
@@ -62,27 +103,19 @@ def test_table3a_xeon(benchmark, record, xeon_pus):
             lat = None
             lat_text = f"{'OOM':>8}"
         measured[gib] = (cap, lat)
+        _cell(ledger, "3a", gib, "capacity", cap, p_cap)
+        _cell(ledger, "3a", gib, "latency", lat, p_lat)
         rows.append(
             f"{gib:>7.1f}Gi | {cap:>9.2f} | {lat_text} |"
             f" {p_cap:>9.2f} | {p_lat if p_lat else 'blank':>9}"
         )
     record("table3a_stream_xeon", "\n".join(rows))
 
-    benchmark(
-        lambda: app.run(int(22.4 * GiB), "Latency", 0, threads=20, pus=xeon_pus)
-    )
-
-    # Shapes: Latency column flat at ~75 until OOM; Capacity column
-    # collapses past the write buffer and flattens.
-    assert measured[22.4][1] == pytest.approx(75.06, rel=0.05)
-    assert measured[89.4][1] == pytest.approx(75.24, rel=0.05)
+    _check_cells(ledger, "3a")
     assert measured[223.5][1] is None
-    assert measured[22.4][0] == pytest.approx(31.59, rel=0.08)
-    assert measured[89.4][0] == pytest.approx(10.49, rel=0.15)
-    assert measured[223.5][0] == pytest.approx(9.46, rel=0.15)
 
 
-def test_table3b_knl(benchmark, record, knl_pus):
+def test_table3b_knl(record, ledger, knl_pus):
     app = _fresh_knl_app()
     rows = [
         f"{'Total':>9} | {'Bandwidth':>9} | {'Latency':>8} |"
@@ -104,28 +137,19 @@ def test_table3b_knl(benchmark, record, knl_pus):
             lat = None
             lat_text = f"{'OOM':>8}"
         measured[gib] = (bw, lat, bw_res.fallback_used)
+        _cell(ledger, "3b", gib, "bandwidth", bw, p_bw)
+        _cell(ledger, "3b", gib, "latency", lat, p_lat)
         rows.append(
             f"{gib:>7.1f}Gi | {bw:>9.2f} | {lat_text} |"
             f" {p_bw:>9.2f} | {p_lat if p_lat else 'blank':>9}"
         )
     record("table3b_stream_knl", "\n".join(rows))
 
-    benchmark(
-        lambda: app.run(int(1.1 * GiB), "Bandwidth", 0, threads=16, pus=knl_pus)
-    )
-
-    # Small sizes run on MCDRAM at ~88 GB/s; at 17.9 GiB the 4 GB MCDRAM
-    # overflows, the allocator falls back whole-buffer to DRAM, and the
-    # run lands exactly at DRAM speed — the paper's 29.16 crossover.
-    assert measured[1.1][0] == pytest.approx(88.6, rel=0.06)
-    assert measured[3.4][0] == pytest.approx(88.6, rel=0.06)
-    assert measured[17.9][0] == pytest.approx(29.3, rel=0.06)
+    _check_cells(ledger, "3b")
     assert measured[17.9][2], "capacity fallback must have triggered"
-    # Latency column = DRAM speed at every size that fits.
-    assert measured[1.1][1] == pytest.approx(29.3, rel=0.06)
 
 
-def test_custom_triad_criterion(benchmark, record, knl_pus):
+def test_custom_triad_criterion(record, knl_pus):
     """Footnote 16's custom attribute used as the allocation criterion:
     ranking by the combined 2R:1W metric picks the same target as
     Bandwidth on KNL."""
@@ -134,10 +158,6 @@ def test_custom_triad_criterion(benchmark, record, knl_pus):
     setup = repro.quick_setup("knl-snc4-flat")
     stream_triad_attribute(setup.memattrs)
     app = StreamApp(setup.engine, setup.allocator)
-    result = benchmark(
-        lambda: app.run(
-            int(1.1 * GiB), "StreamTriad", 0, threads=16, pus=knl_pus
-        )
-    )
+    result = app.run(int(1.1 * GiB), "StreamTriad", 0, threads=16, pus=knl_pus)
     record("table3_custom_triad_attribute", result.describe())
     assert "MCDRAM" in result.best_target_label

@@ -43,7 +43,7 @@ def _stream_run(setup, pus, node):
     )
 
 
-def test_table4_summary(benchmark, record, xeon_setup, xeon_pus):
+def test_table4_summary(record, xeon_setup, xeon_pus):
     machine = xeon_setup.machine
     rows = {
         "Graph500 / DRAM": analyze_run(
@@ -60,10 +60,6 @@ def test_table4_summary(benchmark, record, xeon_setup, xeon_pus):
         ),
     }
     record("table4_vtune_summary", render_summary_table(rows))
-
-    benchmark(
-        lambda: analyze_run(machine, _graph500_run(xeon_setup, xeon_pus, 0))
-    )
 
     # Paper row 1: Graph500/DRAM — DRAM Bound flagged, no bandwidth flags.
     g_dram = rows["Graph500 / DRAM"]
@@ -90,7 +86,7 @@ def test_table4_summary(benchmark, record, xeon_setup, xeon_pus):
     assert s_nvd.bandwidth_sensitive
 
 
-def test_profiling_driven_criteria(benchmark, record, xeon_setup, xeon_pus):
+def test_profiling_driven_criteria(record, xeon_setup, xeon_pus):
     """§VI-B's conclusion: the profile justifies the Latency attribute for
     Graph500 and Bandwidth for STREAM."""
     from repro.sensitivity import classify_buffers
@@ -98,7 +94,7 @@ def test_profiling_driven_criteria(benchmark, record, xeon_setup, xeon_pus):
 
     g_run = _graph500_run(xeon_setup, xeon_pus, 2)
     s_run = _stream_run(xeon_setup, xeon_pus, 0)
-    g_criteria = benchmark(lambda: classify_buffers(machine, g_run))
+    g_criteria = classify_buffers(machine, g_run)
     s_criteria = classify_buffers(machine, s_run)
     record(
         "table4_derived_criteria",

@@ -18,7 +18,7 @@ from repro.units import GiB
 PUS = tuple(range(28))  # quadrant 0: 14 cores × 2 PUs
 
 
-def test_xeon_max_stream_criteria(benchmark, record):
+def test_xeon_max_stream_criteria(record):
     setup = repro.quick_setup("xeon-max", benchmark=True)
     app = StreamApp(setup.engine, setup.allocator)
 
@@ -35,10 +35,6 @@ def test_xeon_max_stream_criteria(benchmark, record):
     rows.append("(* = capacity fallback; HBM per quadrant is 16 GB)")
     record("xeon_max_stream", "\n".join(rows))
 
-    benchmark(
-        lambda: app.run(int(4 * GiB), "Bandwidth", 0, threads=14, pus=PUS)
-    )
-
     # Same shapes as Table III(b), one hardware generation later:
     # Bandwidth -> HBM while it fits, DRAM speed after fallback;
     # Latency -> DDR5 throughout.
@@ -50,7 +46,7 @@ def test_xeon_max_stream_criteria(benchmark, record):
     )
 
 
-def test_xeon_max_flat_vs_cache(benchmark, record):
+def test_xeon_max_flat_vs_cache(record):
     """The §II-A trade-off, third appearance (KNL, 2LM, now Xeon Max)."""
     flat = repro.quick_setup("xeon-max", benchmark=True)
     cache = repro.quick_setup("xeon-max", mode="cache", benchmark=True)
@@ -85,8 +81,6 @@ def test_xeon_max_flat_vs_cache(benchmark, record):
         outcomes[gib] = (auto, tuned)
         rows.append(f"{gib:>7.1f}Gi | {auto:>10.2f} | {tuned:>9.2f}")
     record("xeon_max_flat_vs_cache", "\n".join(rows))
-
-    benchmark(lambda: triad_on(cache, 0, 4.0))
 
     # Within HBM capacity the tuned flat mode wins; beyond it the HBM
     # cache thrashes while flat falls back to clean DDR5 streaming.

@@ -6,9 +6,8 @@ replaced, unchanged in its decisions: re-derive the initiator's PUs and
 the target ranking on every call, then either spill down the ranking
 with the kernel's ordered primitive or place the whole buffer with the
 kernel's policy allocator on the first target that fits.  The
-differential suite (``test_fastpath_differential.py``) and
-``benchmarks/bench_obs_overhead.py`` drive it; nothing under ``src/``
-imports it.
+differential suite (``test_fastpath_differential.py``) drives it;
+nothing under ``src/`` imports it.
 
 Every function takes the :class:`~repro.alloc.HeterogeneousAllocator`
 whose ranking, buffer registry and kernel it uses, so an oracle twin is
