@@ -1,8 +1,9 @@
 """Phase-changing workload schedules — where static hints go stale.
 
-The paper's evaluation (and our ``BENCH_static_hints.json``) uses
-*static* workloads: one hot set for the whole run, so a placement chosen
-at allocation time is optimal forever.  Online guidance only earns its
+The paper's evaluation (and our
+``benchmarks/results/bench_static_hints.json``) uses *static* workloads:
+one hot set for the whole run, so a placement chosen at allocation time
+is optimal forever.  Online guidance only earns its
 keep when the hot set **moves** (arxiv 2110.02150 §6: applications with
 distinct execution phases).  This module provides deterministic phased
 schedules for that scenario:

@@ -187,56 +187,6 @@ class MemoryTechnology:
         decades = math.log10(working_set / self.latency_knee_bytes)
         return self.loaded_latency * (1.0 + self.latency_inflation * decades)
 
-    def effective_write_bandwidth_array(self, working_sets):
-        """Vectorized :meth:`effective_write_bandwidth` over a float array.
-
-        Bit-identical to the scalar method per element: the same division
-        and addition order, evaluated elementwise.  ``working_sets`` must
-        already be non-negative whole numbers (the caller floors them).
-        """
-        import numpy as np
-
-        w = np.asarray(working_sets, dtype=np.float64)
-        out = np.full(w.shape, self.peak_write_bandwidth)
-        if self.write_buffer_bytes is None:
-            return out
-        over = w > self.write_buffer_bytes
-        if over.any():
-            assert self.sustained_write_bandwidth is not None
-            frac_buffered = self.write_buffer_bytes / w[over]
-            inv_bw = (
-                frac_buffered / self.peak_write_bandwidth
-                + (1.0 - frac_buffered) / self.sustained_write_bandwidth
-            )
-            out[over] = 1.0 / inv_bw
-        return out
-
-    def effective_latency_array(self, working_sets):
-        """Vectorized :meth:`effective_latency` over a float array.
-
-        Bit-identical per element.  ``math.log10`` is evaluated
-        elementwise on the beyond-knee subset rather than through
-        ``np.log10``: numpy's SIMD log10 differs from libm in the last
-        ulp for ~1% of inputs, which would break the batch pricing
-        bit-identity contract (docs/MODEL.md §7c).
-        """
-        import math
-
-        import numpy as np
-
-        w = np.asarray(working_sets, dtype=np.float64)
-        out = np.full(w.shape, self.loaded_latency)
-        over = np.nonzero(w > self.latency_knee_bytes)[0]
-        if over.size:
-            knee = self.latency_knee_bytes
-            loaded = self.loaded_latency
-            inflation = self.latency_inflation
-            out[over] = [
-                loaded * (1.0 + inflation * math.log10(float(ws) / knee))
-                for ws in w[over]
-            ]
-        return out
-
     def scaled(self, **overrides) -> "MemoryTechnology":
         """Return a copy with fields replaced (e.g. per-SNC bandwidth cuts)."""
         return replace(self, **overrides)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ReproError, TransientMigrationError
 from ..obs import OBS
+from ..sim.access import Placement
 from .migration import MigrationReport
 from .pagealloc import KernelMemoryManager, PageAllocation
 
@@ -85,8 +84,8 @@ class StepReport:
     transient_failures: int = 0
     #: tier nodes found offline this step (that tier direction is skipped).
     offline_tier_nodes: int = 0
-    #: price-guided mode: moves skipped because the batch pricing predicts
-    #: no gain (promotions) or too large a hit (demotions).
+    #: price-guided mode: moves skipped because the pricing predicts no
+    #: gain (promotions) or too large a hit (demotions).
     price_vetoed: list[str] = field(default_factory=list)
     #: placement variants priced this step (0 when price guidance is off).
     candidates_priced: int = 0
@@ -101,12 +100,12 @@ class AutoTierDaemon:
 
     Passing ``engine=`` (a :class:`~repro.sim.engine.SimEngine`) and a
     workload phase via :meth:`set_phase` turns on *price-guided* mode:
-    each step compiles the phase once and prices the current placement
-    plus every candidate promotion/demotion variant in a single
-    :meth:`~repro.sim.engine.SimEngine.price_placements_batch` call,
-    vetoing moves the model predicts to be useless or harmful.  Without
-    an engine (the default) behaviour is byte-identical to the plain
-    hotness heuristic.
+    each step prices the current placement plus every candidate
+    promotion/demotion variant through
+    :meth:`~repro.sim.engine.SimEngine.price_prepared` on the phase
+    prepared once per :meth:`set_phase`, vetoing moves the model
+    predicts to be useless or harmful.  Without an engine (the default)
+    behaviour is byte-identical to the plain hotness heuristic.
     """
 
     def __init__(
@@ -127,7 +126,7 @@ class AutoTierDaemon:
         self._engine = engine
         self._phase = None
         self._pus: tuple[int, ...] | None = None
-        self._compiled = None
+        self._prepared = None
 
     def set_phase(self, phase, *, pus: tuple[int, ...] | None = None) -> None:
         """Declare the workload phase that price-guided steps simulate.
@@ -141,7 +140,7 @@ class AutoTierDaemon:
             raise ReproError("set_phase needs a daemon constructed with engine=")
         self._phase = phase
         self._pus = pus
-        self._compiled = None
+        self._prepared = None
 
     # ------------------------------------------------------------------
     def track(self, name: str, allocation: PageAllocation) -> None:
@@ -173,31 +172,19 @@ class AutoTierDaemon:
     def _fraction_fast(self, alloc: PageAllocation) -> float:
         return sum(alloc.fraction_on(n) for n in self.config.fast_nodes)
 
-    def _compiled_phase(self):
-        """Compile the guidance phase, refreshing on MemAttrs generation."""
-        engine = self._engine
-        generation = engine._sync_generation()
-        if self._compiled is None or self._compiled.generation != generation:
-            axis = tuple(sorted(self.kernel.node_ids()))
-            self._compiled = engine.compile_phase(
-                self._phase, axis, pus=self._pus
-            )
-        return self._compiled
-
     def _price_guidance(
         self,
         fast: tuple[int, ...],
         slow: tuple[int, ...],
         report: StepReport,
     ) -> tuple[set[str], set[str]]:
-        """Predict this step's candidate moves in one batch pricing.
+        """Predict this step's candidate moves, one pricing per placement.
 
-        Builds one fraction row per candidate — the current placement
-        with that buffer's fast-resident share pushed to the roomiest
-        slow node (demotions) or its non-fast share pulled to the
-        roomiest fast node (promotions) — plus the baseline row, and
-        prices them all in a single
-        :meth:`SimEngine.price_placements_batch` call.  Returns the
+        Prices the current placement, then one variant per candidate —
+        that buffer's fast-resident share pushed to the roomiest slow node
+        (demotions) or its non-fast share pulled to the roomiest fast node
+        (promotions) — each through :meth:`SimEngine.price_prepared` on
+        the phase prepared once per :meth:`set_phase`.  Returns the
         (demote, promote) veto sets.  Guidance quietly stands down when
         the phase references untracked buffers or a tier is empty.
         """
@@ -218,59 +205,54 @@ class AutoTierDaemon:
         ]
         if not demote_cands and not promote_cands:
             return set(), set()
-        compiled = self._compiled_phase()
+        if self._prepared is None:
+            self._prepared = self._engine.prepare_phase(self._phase, pus=self._pus)
         tracked = self._tracked
-        if any(b not in tracked for b in compiled.buffers):
+        buffers = [access.buffer for access in self._phase.accesses]
+        if any(b not in tracked for b in buffers):
             return set(), set()
 
-        axis = compiled.nodes
-        pos = compiled.node_pos
-        base = {
-            name: np.array([t.allocation.fraction_on(n) for n in axis])
-            for name, t in tracked.items()
-        }
-        n_rows = 1 + len(demote_cands) + len(promote_cands)
-        frac = np.zeros((n_rows, compiled.n_buffers, compiled.n_nodes))
-        for b, bname in enumerate(compiled.buffers):
-            frac[:, b, :] = base[bname]
-
+        # Splits list their nodes in ascending order and leave empty ones
+        # out; a variant moves one buffer's share and keeps that order.
+        axis = sorted(self.kernel.node_ids())
+        base = {}
+        for name in buffers:
+            alloc = tracked[name].allocation
+            base[name] = {
+                n: alloc.fraction_on(n) for n in axis if alloc.pages_by_node.get(n)
+            }
         fast_dest = max(fast, key=self.kernel.free_bytes)
         slow_dest = max(slow, key=self.kernel.free_bytes)
-        fast_cols = [pos[n] for n in fast]
-        non_fast_cols = [
-            pos[n] for n in axis if n not in set(cfg.fast_nodes)
-        ]
+        non_fast = [n for n in axis if n not in cfg.fast_nodes]
 
-        def divert(row: int, name: str, cols: list[int], dest: int) -> None:
-            for b, bname in enumerate(compiled.buffers):
-                if bname != name:
-                    continue
-                moved = frac[row, b, cols].sum()
-                frac[row, b, cols] = 0.0
-                frac[row, b, pos[dest]] += moved
+        def seconds(fractions: dict[str, dict[int, float]]) -> float:
+            return self._engine.price_prepared(
+                self._prepared, Placement(fractions)
+            ).seconds
 
-        row = 1
-        for name in demote_cands:
-            divert(row, name, fast_cols, slow_dest)
-            row += 1
-        for name in promote_cands:
-            divert(row, name, non_fast_cols, fast_dest)
-            row += 1
+        def diverted(name: str, sources, dest: int) -> float:
+            """Phase seconds with ``name``'s share on ``sources`` at ``dest``."""
+            split = base.get(name)
+            if split is None:  # a buffer the phase does not touch
+                return baseline
+            moved = 0.0
+            for n in sources:
+                moved += split.get(n, 0.0)
+            new = {n: f for n, f in split.items() if n not in sources}
+            new[dest] = new.get(dest, 0.0) + moved
+            return seconds({**base, name: dict(sorted(new.items()))})
 
-        secs = self._engine.price_placements_batch(compiled, frac).seconds
-        baseline = secs[0]
-        report.candidates_priced = n_rows - 1
-        row = 1
-        veto_demote: set[str] = set()
-        for name in demote_cands:
-            if secs[row] > baseline * (1.0 + cfg.demotion_price_slack):
-                veto_demote.add(name)
-            row += 1
-        veto_promote: set[str] = set()
-        for name in promote_cands:
-            if secs[row] >= baseline:
-                veto_promote.add(name)
-            row += 1
+        baseline = seconds(base)
+        report.candidates_priced = len(demote_cands) + len(promote_cands)
+        limit = baseline * (1.0 + cfg.demotion_price_slack)
+        veto_demote = {
+            name for name in demote_cands
+            if diverted(name, fast, slow_dest) > limit
+        }
+        veto_promote = {
+            name for name in promote_cands
+            if diverted(name, non_fast, fast_dest) >= baseline
+        }
         return veto_demote, veto_promote
 
     def hotness(self, name: str) -> float:
@@ -366,8 +348,8 @@ class AutoTierDaemon:
             len(cfg.fast_nodes) - len(fast) + len(cfg.slow_nodes) - len(slow)
         )
 
-        # Price-guided mode: one batch pricing of every candidate move
-        # against the pre-step placement.  Vetoes are advisory per buffer;
+        # Price-guided mode: every candidate move priced against the
+        # pre-step placement.  Vetoes are advisory per buffer;
         # the hotness loops below still decide ordering and budget.
         veto_demote, veto_promote = self._price_guidance(fast, slow, report)
 

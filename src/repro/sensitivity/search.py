@@ -19,10 +19,6 @@ at:
   priced with every undecided buffer on its best node for that phase,
   precomputed once per phase from single-buffer pricings) skips subtrees
   that cannot beat the current k-th best candidate;
-* **batch leaf pricing** — without a bound to maintain, the walk collects
-  every surviving leaf and prices the distinct per-phase slices in one
-  :meth:`~repro.sim.engine.SimEngine.price_placements_batch` call per
-  phase;
 * **budgeted pricing** — ``max_candidates`` is a pricing budget with a
   loggable truncation report instead of a hard error.
 
@@ -39,12 +35,10 @@ import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 
-import numpy as np
-
 from ..errors import ReproError
 from ..obs import OBS
 from ..sim.access import KernelPhase, Placement
-from ..sim.engine import CompiledPhase, SimEngine
+from ..sim.engine import SimEngine
 
 __all__ = [
     "PlacementCandidate",
@@ -58,11 +52,6 @@ __all__ = [
 #: margin: the bound and the true pricing sum floats in different orders,
 #: so equality-adjacent comparisons get a safety belt.
 _BOUND_SLACK = 1e-12
-
-#: Collected-leaf count below which the batch pricing path falls back to
-#: scalar per-leaf pricing: a tiny batch pays the fraction-tensor and
-#: result-marshalling overhead without amortizing it.
-_BATCH_MIN_LEAVES = 32
 
 
 @dataclass(frozen=True)
@@ -139,10 +128,10 @@ def _slots_getter(slots: list[int]):
 class _BoundModel:
     """Admissible per-phase lower bounds from single-buffer pricings.
 
-    For every (phase, buffer, node) the engine prices the buffer's
-    prepared access *alone* on the node
-    (:meth:`~repro.sim.engine.SimEngine.price_accesses_alone_batch`, one
-    ``(accesses, nodes)`` table per phase): the access keeps its real
+    For every (phase, buffer, node) the walk reads — the default node for
+    a non-critical buffer, each candidate node for a critical one — the
+    engine prices the buffer's prepared access *alone* on the node
+    (``SimEngine._price_access_alone``): the access keeps its real
     cache share — its miss counts are exactly those of the full phase —
     while the node carries only this buffer's working set, so its loaded
     latency is at its lowest and its bandwidth at its highest.  Both
@@ -189,22 +178,13 @@ class _BoundModel:
         min_lat = [[0.0] * n_crit for _ in range(n_phases)]
         min_bw = [[0.0] * n_crit for _ in range(n_phases)]
 
-        # One (accesses, nodes) alone-table per phase, bit-identical per
-        # element to the scalar alone pricing that tests keep as the
-        # reference.
-        axis = tuple(dict.fromkeys(tuple(candidate_nodes) + (default_node,)))
-        axis_pos = {node: k for k, node in enumerate(axis)}
+        alone = engine._price_access_alone
         for p, prep in enumerate(prepared):
-            lat_tab, bw_tab = engine.price_accesses_alone_batch(
-                engine.compile_prepared(prep, axis)
-            )
-            lat_rows, bw_rows = lat_tab.tolist(), bw_tab.tolist()
             for index, (access, _) in enumerate(prep.filtered):
                 ci = crit_index.get(access.buffer)
                 if ci is None:
                     # Non-critical: pinned on the default node from the start.
-                    k = axis_pos[default_node]
-                    lat, bw = lat_rows[index][k], bw_rows[index][k]
+                    lat, bw = alone(prep, index, default_node)
                     self.pricings += 1
                     self._dec_lat[p] += lat
                     self._dec_bw[p][default_node] = (
@@ -214,10 +194,8 @@ class _BoundModel:
                 lat_by_node: dict[int, float] = {}
                 bw_by_node: dict[int, float] = {}
                 for node in candidate_nodes:
-                    k = axis_pos[node]
-                    self.pricings += 1
-                    lat_by_node[node] = lat_rows[index][k]
-                    bw_by_node[node] = bw_rows[index][k]
+                    lat_by_node[node], bw_by_node[node] = alone(prep, index, node)
+                self.pricings += len(candidate_nodes)
                 self._touch[ci].append((p, lat_by_node, bw_by_node))
                 min_lat[p][ci] = min(lat_by_node.values())
                 min_bw[p][ci] = min(bw_by_node.values())
@@ -313,64 +291,6 @@ class _SearchSpace:
         # differing in other buffers reuse the exact same pricing.
         self.memo: dict[tuple, float] = {}
         self.pricings = 0
-        self._compiled_cache: dict[int, CompiledPhase] = {}
-
-    def _compiled(self, idx: int) -> CompiledPhase:
-        compiled = self._compiled_cache.get(idx)
-        if compiled is None:
-            axis = tuple(
-                dict.fromkeys(
-                    tuple(self.candidate_nodes) + (self.default_node,)
-                )
-            )
-            compiled = self.engine.compile_prepared(self.prepared[idx], axis)
-            self._compiled_cache[idx] = compiled
-        return compiled
-
-    def _price_combos(
-        self, combos: list[tuple[int, ...]]
-    ) -> list[float]:
-        """Price collected leaves through the batch engine, memo-coherently.
-
-        Each combo carries the default node in its last slot, like the
-        walk's.  For each phase, the distinct not-yet-memoized placement
-        slices are priced in one :meth:`SimEngine.price_placements_batch`
-        call (in first-encounter order, matching the per-leaf path's
-        memo-fill order); per-leaf totals then accumulate the memoized
-        per-phase seconds in phase order, exactly like
-        :meth:`price_combo` — so the floats are bit-identical and
-        ``self.pricings`` counts the same events.  Below
-        ``_BATCH_MIN_LEAVES`` leaves, :meth:`price_combo` prices them one
-        by one.
-        """
-        if len(combos) < _BATCH_MIN_LEAVES:
-            return [self.price_combo(cmb) for cmb in combos]
-        totals = [0.0] * len(combos)
-        for idx, slice_of in enumerate(self.slice_of):
-            keys = list(map(slice_of, combos))
-            missing: list[tuple[int, ...]] = []
-            seen: set[tuple[int, ...]] = set()
-            for key_nodes in keys:
-                if key_nodes in seen or (idx, key_nodes) in self.memo:
-                    continue
-                seen.add(key_nodes)
-                missing.append(key_nodes)
-            if missing:
-                compiled = self._compiled(idx)
-                pos = compiled.node_pos
-                frac = np.zeros(
-                    (len(missing), compiled.n_buffers, compiled.n_nodes)
-                )
-                for r, key_nodes in enumerate(missing):
-                    for b, node in enumerate(key_nodes):
-                        frac[r, b, pos[node]] = 1.0
-                batch = self.engine.price_placements_batch(compiled, frac)
-                for r, secs in enumerate(batch.seconds.tolist()):
-                    self.memo[(idx, missing[r])] = secs
-                self.pricings += len(missing)
-            for i, key_nodes in enumerate(keys):
-                totals[i] += self.memo[(idx, key_nodes)]
-        return totals
 
     def price_combo(self, combo) -> float:
         """Price one complete assignment: ``combo[i]`` is the node of
@@ -408,10 +328,9 @@ class _SearchSpace:
 
         With branch-and-bound (``prune`` and ``top_k`` set), each leaf is
         priced as the walk reaches it, because the bound compares against
-        the incumbent k-th best.  Otherwise the walk only collects leaves
-        and :meth:`_price_combos` prices them afterwards; sorting all of
-        them and slicing ``top_k`` keeps what a heap would under the
-        total ``(seconds, combo)`` order.
+        the incumbent k-th best.  Otherwise the walk collects every
+        priced leaf; sorting them all and slicing ``top_k`` keeps what a
+        heap would under the total ``(seconds, combo)`` order.
         """
         nodes = self.candidate_nodes
         n_nodes = len(nodes)
@@ -427,7 +346,7 @@ class _SearchSpace:
             )
 
         heap: list[tuple] = []        # max-heap entries (bound model only)
-        combos: list[tuple[int, ...]] = []  # collected leaves (no bound model)
+        leaves: list[tuple] = []      # collected leaves (no bound model)
         combo = [0] * n_crit + [self.default_node]
         capacity = self.capacity
         sizes = self.sizes
@@ -451,10 +370,10 @@ class _SearchSpace:
                 if budget is not None and leaves_priced >= budget:
                     raise _BudgetExhausted
                 leaves_priced += 1
-                if bound_model is None:
-                    combos.append(tuple(combo))
-                    return
                 seconds = price(combo)
+                if bound_model is None:
+                    leaves.append((seconds, tuple(combo[:n_crit])))
+                    return
                 if len(heap) < top_k:
                     push = heapq.heappush
                 else:
@@ -506,10 +425,7 @@ class _SearchSpace:
             truncated = True
 
         if bound_model is None:
-            # Every combo ends in the same default-node slot, so it does
-            # not change the order.
-            results = sorted(zip(self._price_combos(combos), combos))
-            results = [(sec, cmb[:n_crit]) for sec, cmb in results[:top_k]]
+            results = sorted(leaves)[:top_k]
         else:
             results = sorted((sec, cmb) for _, sec, cmb in heap)
         stats = {
@@ -668,6 +584,11 @@ def _search_placements_impl(
     )
     if repeated:
         raise ReproError(f"duplicate candidate nodes: {repeated}")
+    # Every path rejects an unknown node here, before any pricing: the
+    # pruned walk prices only the bound cells it reads, and an all-critical
+    # search never prices the default node at all.
+    for node in candidate_nodes + (default_node,):
+        engine._instance(node)
     if top_k is not None and top_k < 1:
         raise ReproError(f"top_k must be >= 1, got {top_k}")
     if max_candidates is not None and max_candidates < 1:

@@ -21,14 +21,7 @@ The latency and cpu terms serialize within a thread; the phase time is
 from .access import BufferAccess, KernelPhase, PatternKind, Placement
 from .caches import CacheModel, cache_filter
 from .contention import ConcurrentJob, ConcurrentOutcome, price_concurrent
-from .engine import (
-    BatchPhaseTiming,
-    CompiledPhase,
-    PhaseTiming,
-    PreparedPhase,
-    RunTiming,
-    SimEngine,
-)
+from .engine import PhaseTiming, PreparedPhase, RunTiming, SimEngine
 from .memside import MemsideEffect, memside_filter
 from .trace import classify_trace, synth_trace
 
@@ -44,8 +37,6 @@ __all__ = [
     "SimEngine",
     "PhaseTiming",
     "PreparedPhase",
-    "CompiledPhase",
-    "BatchPhaseTiming",
     "RunTiming",
     "ConcurrentJob",
     "ConcurrentOutcome",

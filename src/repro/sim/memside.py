@@ -16,17 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..hw.spec import MemsideCacheSpec, NodeInstance
 
-__all__ = [
-    "MemsideEffect",
-    "MemsideEffectArrays",
-    "memside_filter",
-    "memside_filter_arrays",
-]
+__all__ = ["MemsideEffect", "memside_filter"]
 
 #: Direct-mapped caches suffer conflict misses even when the working set
 #: fits; set-associative ones barely do.
@@ -92,75 +85,6 @@ def memside_filter(
         return 1.0 / inv
 
     return MemsideEffect(
-        hit_rate=hit,
-        latency=latency,
-        read_bandwidth=blend_bw(cache.hit_bandwidth, base_read_bw),
-        write_bandwidth=blend_bw(cache.hit_bandwidth, base_write_bw),
-    )
-
-
-@dataclass(frozen=True)
-class MemsideEffectArrays:
-    """:class:`MemsideEffect` over a vector of working sets."""
-
-    hit_rate: np.ndarray
-    latency: np.ndarray
-    read_bandwidth: np.ndarray
-    write_bandwidth: np.ndarray
-
-
-def _as_array(value, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        arr = np.full(shape, float(value))
-    return arr
-
-
-def memside_filter_arrays(
-    node: NodeInstance,
-    working_sets: np.ndarray,
-    *,
-    base_latency,
-    base_read_bw,
-    base_write_bw,
-) -> MemsideEffectArrays:
-    """Vectorized :func:`memside_filter` over a 1-D working-set array.
-
-    Bit-identical per element to the scalar filter: every blend keeps the
-    scalar's operation order, evaluated elementwise.  ``working_sets``
-    must already be floored to whole non-negative numbers (the scalar
-    path receives ``int(working_set)``); ``base_*`` may be scalars or
-    arrays of the same shape.
-    """
-    w = np.asarray(working_sets, dtype=np.float64)
-    cache: MemsideCacheSpec | None = node.spec.memside_cache
-    if cache is None:
-        return MemsideEffectArrays(
-            hit_rate=np.zeros(w.shape),
-            latency=_as_array(base_latency, w.shape),
-            read_bandwidth=_as_array(base_read_bw, w.shape),
-            write_bandwidth=_as_array(base_write_bw, w.shape),
-        )
-
-    factor = (
-        _DIRECT_MAPPED_FACTOR if cache.associativity == 1 else _ASSOCIATIVE_FACTOR
-    )
-    occupancy = np.ones(w.shape)
-    nonzero = w != 0
-    if nonzero.any():
-        occupancy[nonzero] = np.minimum(1.0, cache.size / w[nonzero])
-    hit = factor * occupancy
-
-    miss_latency = _as_array(base_latency, w.shape) + 0.15 * cache.hit_latency
-    latency = hit * cache.hit_latency + (1.0 - hit) * miss_latency
-
-    def blend_bw(cache_bw: float, backing_bw) -> np.ndarray:
-        inv = hit / cache_bw + (1.0 - hit) / (
-            _as_array(backing_bw, w.shape) * _MISS_BANDWIDTH_FACTOR
-        )
-        return 1.0 / inv
-
-    return MemsideEffectArrays(
         hit_rate=hit,
         latency=latency,
         read_bandwidth=blend_bw(cache.hit_bandwidth, base_read_bw),

@@ -317,7 +317,7 @@ class TestResilience:
 
 
 class TestPriceGuidance:
-    """engine= + set_phase turns on batch-priced move vetoes."""
+    """engine= + set_phase turns on priced move vetoes."""
 
     @staticmethod
     def _engine(knl_kernel):
@@ -357,8 +357,8 @@ class TestPriceGuidance:
         assert report.price_vetoed == []
 
     def test_demotion_vetoed_when_phase_disagrees(self, knl_kernel):
-        """Sampler-cold but phase-hot: the batch pricing predicts a big
-        hit from demotion, so the move is vetoed."""
+        """Sampler-cold but phase-hot: the pricing predicts a big hit
+        from demotion, so the move is vetoed."""
         engine = self._engine(knl_kernel)
         cfg = TierConfig(fast_nodes=(4,), slow_nodes=(0,))
         d = AutoTierDaemon(knl_kernel, cfg, engine=engine)
@@ -417,8 +417,8 @@ class TestPriceGuidance:
         d.set_phase(self._phase(hot=64 * GB))
         d.observe({"hot": 8 * GB})
         assert d.step().promoted == ["hot"]
-        # Move the attribute generation: the next step must recompile
-        # rather than trip over the stale CompiledPhase.
+        # Move the attribute generation: the next step prices under the
+        # new attribute values, on the phase prepared before the bump.
         node = topo.numanodes()[0]
         attrs.set_value("Bandwidth", node, (0,), 1e9)
         kern.migrate(hot, 0)  # push it back out of the fast tier

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.apps.graph500 import Graph500Config, TrafficModel
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.sensitivity import exhaustive_search, search_placements
 from repro.sensitivity.search import _BoundModel, _SearchSpace
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
@@ -120,6 +120,21 @@ class TestSearch:
             search_placements(
                 xeon_engine, phases, sizes, (0, 0, 2),
                 default_node=0, pus=XEON_PUS, top_k=4,
+            )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(top_k=1), dict(top_k=None), dict(top_k=1, prune=False)],
+        ids=["pruned", "all", "unpruned"],
+    )
+    def test_unknown_default_node_rejected(self, xeon_engine, g500_setup, kw):
+        """Every buffer critical, so no walk prices the default node: the
+        unknown node is still rejected on every path, before pricing."""
+        phases, sizes = g500_setup
+        with pytest.raises(SimulationError, match="unknown NUMA node 99"):
+            search_placements(
+                xeon_engine, phases, sizes, (0, 2), default_node=99,
+                pus=XEON_PUS, **kw,
             )
 
     def test_duplicate_critical_buffers_rejected(self, xeon_engine, g500_setup):
@@ -488,9 +503,10 @@ def _scalar_bound_tables(engine, prepared, critical, nodes, default_node):
 
 
 class TestBatchLeafPath:
-    """Batch leaf pricing must be invisible in results: identical
-    candidates, seconds (bit for bit), and SearchStats to per-leaf
-    pricing and to the brute-force oracle."""
+    """Collected leaves (``top_k=None`` or ``prune=False``) are priced one
+    by one through the same memo as the branch-and-bound walk's: the
+    collected search must equal the brute-force oracle (candidates bit
+    for bit, every count) and the pruned walk's candidates."""
 
     def _run(self, engine, phases, sizes, **kw):
         return search_placements(
@@ -498,30 +514,16 @@ class TestBatchLeafPath:
             pus=XEON_PUS, **kw,
         )
 
-    def _both_fill_modes(self, monkeypatch, run):
-        """``run()``'s signature with batch pricing forced on, then off."""
-        import repro.sensitivity.search as mod
-
-        sigs = []
-        for min_leaves in (0, 10 ** 9):
-            monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", min_leaves)
-            sigs.append(_signature(run()))
-        return sigs
-
-    def test_batch_equals_lazy_g500(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
+    def test_batch_equals_lazy_g500(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        batch, lazy = self._both_fill_modes(
-            monkeypatch,
-            lambda: self._run(
-                xeon_engine, phases, sizes, prune=False, top_k=6
-            ),
+        batch = _signature(
+            self._run(xeon_engine, phases, sizes, prune=False, top_k=6)
         )
-        assert batch == lazy
         assert batch == _oracle(xeon_engine, phases, sizes, (0, 2), top_k=6)
+        lazy = _signature(self._run(xeon_engine, phases, sizes, top_k=6))
+        assert batch[0] == lazy[0]
 
-    def test_batch_equals_lazy_randomized(self, xeon_engine, monkeypatch):
+    def test_batch_equals_lazy_randomized(self, xeon_engine):
         rng = random.Random(2024)
         pruned_by_capacity = truncated = bnb_capacity_pruned = 0
         for i in range(10):
@@ -539,11 +541,9 @@ class TestBatchLeafPath:
             budget = rng.choice((None, 5, 40))
             top_k = rng.choice((None, 3))
             kw = dict(top_k=top_k, max_candidates=budget, node_capacity=capacity)
-            batch, lazy = self._both_fill_modes(
-                monkeypatch,
-                lambda: self._run(xeon_engine, phases, sizes, prune=False, **kw),
+            batch = _signature(
+                self._run(xeon_engine, phases, sizes, prune=False, **kw)
             )
-            assert batch == lazy
             oracle = _oracle(
                 xeon_engine, phases, sizes, (0, 2), node_capacity=capacity,
                 top_k=top_k, budget=budget,
@@ -571,14 +571,9 @@ class TestBatchLeafPath:
             bnb_capacity_pruned += bnb.stats.capacity_pruned > 0
         assert pruned_by_capacity and truncated and bnb_capacity_pruned
 
-    def test_memo_coherent_across_paths(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        """A space primed by batch pricing reuses its memo on the per-leaf
-        path — same keys, same floats."""
-        import repro.sensitivity.search as mod
-
-        monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", 0)
+    def test_memo_coherent_across_paths(self, xeon_engine, g500_setup):
+        """A space primed by the collected-leaf walk reuses its memo on
+        the per-leaf path — same keys, same floats."""
         phases, sizes = g500_setup
         space = _SearchSpace(
             xeon_engine, phases, sizes, (0, 2), tuple(sizes), 0, None, XEON_PUS,
@@ -596,6 +591,8 @@ class TestBatchLeafPath:
     def test_bound_tables_vectorized_equals_scalar(
         self, xeon_engine, g500_setup
     ):
+        """The bound tables equal a build from the frozen scalar oracle,
+        one alone pricing per cell the walk reads."""
         phases, sizes = g500_setup
         prepared = tuple(
             xeon_engine.prepare_phase(p, pus=XEON_PUS) for p in phases

@@ -7,8 +7,9 @@ differential tests to hold the production walk to:
 
 * :class:`OracleBoundModel` rescans ``max(dec_bw.values())`` for every
   phase on every :meth:`~OracleBoundModel.bound` call;
-* :class:`OracleSpace` prices each leaf through a ``{buffer: node}`` dict
-  (:meth:`~OracleSpace.price_assignment`), also below the batch threshold.
+* :class:`OracleSpace` prices each walked leaf through a ``{buffer:
+  node}`` dict (:meth:`~OracleSpace.price_assignment`), and collected
+  leaves phase by phase, each phase's distinct slices first.
 
 Both reuse production's table builds and prepared phases, which have
 their own reference tests.  :func:`oracle_search` returns what
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.sensitivity import PlacementCandidate, SearchStats
 from repro.sensitivity.search import (
@@ -31,8 +30,6 @@ from repro.sensitivity.search import (
     _SearchSpace,
 )
 from repro.sim import Placement
-
-_BATCH_MIN_LEAVES = 32
 
 
 class OracleBoundModel(_BoundModel):
@@ -70,11 +67,6 @@ class OracleSpace(_SearchSpace):
     """:class:`_SearchSpace` with dict-keyed leaf pricing and its walk."""
 
     def _price_combos(self, combos: list[tuple[int, ...]]) -> list[float]:
-        if len(combos) < _BATCH_MIN_LEAVES:
-            return [
-                self.price_assignment(dict(zip(self.critical, cmb)))
-                for cmb in combos
-            ]
         crit_pos = {b: i for i, b in enumerate(self.critical)}
         totals = [0.0] * len(combos)
         for idx, bufs in enumerate(self.phase_buffers):
@@ -86,27 +78,16 @@ class OracleSpace(_SearchSpace):
                 )
                 for cmb in combos
             ]
-            missing: list[tuple[int, ...]] = []
-            seen: set[tuple[int, ...]] = set()
             for key_nodes in keys:
-                if key_nodes in seen or (idx, key_nodes) in self.memo:
+                if (idx, key_nodes) in self.memo:
                     continue
-                seen.add(key_nodes)
-                missing.append(key_nodes)
-            if missing:
-                compiled = self._compiled(idx)
-                pos = compiled.node_pos
-                frac = np.zeros(
-                    (len(missing), compiled.n_buffers, compiled.n_nodes)
+                placement = Placement(
+                    {b: {node: 1.0} for b, node in zip(bufs, key_nodes)}
                 )
-                for r, key_nodes in enumerate(missing):
-                    by_name = dict(zip(bufs, key_nodes))
-                    for b, name in enumerate(compiled.buffers):
-                        frac[r, b, pos[by_name[name]]] = 1.0
-                batch = self.engine.price_placements_batch(compiled, frac)
-                for r, secs in enumerate(batch.seconds.tolist()):
-                    self.memo[(idx, missing[r])] = secs
-                self.pricings += len(missing)
+                self.memo[(idx, key_nodes)] = self.engine.price_prepared(
+                    self.prepared[idx], placement
+                ).seconds
+                self.pricings += 1
             for i, key_nodes in enumerate(keys):
                 totals[i] += self.memo[(idx, key_nodes)]
         return totals

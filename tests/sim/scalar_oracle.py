@@ -6,9 +6,9 @@ node), read pattern traits once per access and looked ``cpu_mlp`` up in
 a module table.  Differential tests compare every :class:`PhaseTiming`
 field of the production pricer against it.
 
-:func:`price_access_alone` is the scalar single-access pricing that
-``SimEngine`` used to carry; the vectorized
-``SimEngine.price_accesses_alone_batch`` must equal it per element.
+:func:`price_access_alone` is the single-access pricing the placement
+search's bound tables read; ``SimEngine._price_access_alone`` must equal
+it cell by cell.
 
 The node-resolution helpers (``_node_latency``, ``_node_bandwidths``)
 are the engine's own.

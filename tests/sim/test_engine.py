@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import native_discovery
 from repro.errors import SimulationError
+from repro.hw.platforms import xeon_cascadelake_1lm
 from repro.sim import (
     BufferAccess,
     KernelPhase,
@@ -10,8 +12,8 @@ from repro.sim import (
     Placement,
     SimEngine,
 )
+from repro.topology import build_topology
 from repro.units import GB, GiB, MiB
-from tests.sim import scalar_oracle
 
 
 def stream_phase(nbytes, threads=20, name="s"):
@@ -280,9 +282,7 @@ class TestBatchPricing:
             lat_sum = 0.0
             bw_sum = 0.0
             for i in range(len(phase.accesses)):
-                lat, bw = scalar_oracle.price_access_alone(
-                    xeon_engine, prepared, i, node
-                )
+                lat, bw = xeon_engine._price_access_alone(prepared, i, node)
                 lat_sum += lat
                 bw_sum += bw
             assert lat_sum <= full.latency_seconds * (1 + 1e-9)
@@ -293,3 +293,46 @@ class TestBatchPricing:
         xeon_engine.price_phase(mixed_phase(), Placement.single(a=0, b=2, c=0), pus=pus)
         assert (0, pus) in xeon_engine._blend_memo
         assert (2, pus) in xeon_engine._blend_memo
+
+
+class TestGenerationMemo:
+    """Degraded attrs must never serve stale blends."""
+
+    @staticmethod
+    def _phase():
+        return KernelPhase(
+            name="p", threads=4,
+            accesses=(
+                BufferAccess(
+                    buffer="a", pattern=PatternKind.STREAM,
+                    bytes_read=GB, working_set=GB,
+                ),
+            ),
+        )
+
+    def test_blend_memo_evicted_on_generation_bump(self):
+        machine = xeon_cascadelake_1lm()
+        topo = build_topology(machine)
+        attrs = native_discovery(topo)
+        engine = SimEngine(machine, topo, attrs=attrs)
+        node = min(engine._nodes)
+        engine.price_phase(self._phase(), Placement.single(a=node))
+        stats = engine.memo_stats()
+        assert stats["blend_entries"] > 0
+        assert stats["evictions"] == 0
+
+        target = topo.numanodes()[0]
+        assert attrs.degrade_target("Bandwidth", target, 0.5) > 0
+        engine.price_phase(self._phase(), Placement.single(a=node))
+        stats = engine.memo_stats()
+        assert stats["generation"] == attrs.generation
+        assert stats["evictions"] > 0
+
+    def test_unbound_engine_never_evicts(self):
+        engine = SimEngine(xeon_cascadelake_1lm())
+        node = min(engine._nodes)
+        for _ in range(3):
+            engine.price_phase(self._phase(), Placement.single(a=node))
+        stats = engine.memo_stats()
+        assert stats["generation"] == 0
+        assert stats["evictions"] == 0

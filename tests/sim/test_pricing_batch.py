@@ -1,21 +1,22 @@
-"""Batch pricing differential suite: compiled tensors vs the scalar oracle.
+"""A batch of placements priced on one prepared phase, against the oracle.
 
-The vectorized pricer (:meth:`SimEngine.price_placements_batch`) promises
-**bit identity** with the scalar path (docs/MODEL.md §7c): same floats,
-not merely close ones.  This suite drives 100 seeded random
-machine/phase/placement combos through both paths and compares with
-``==``, plus hypothesis invariants (row-order independence, slicing =
-individual rows) and the generation-keyed staleness contract.
+The placement search and the auto-tier daemon's priced step price one
+phase under many placements: they prepare it once and call
+:meth:`SimEngine.price_prepared` per placement, and the search's
+branch-and-bound prices single accesses alone
+(``SimEngine._price_access_alone``).  This suite drives 100 seeded random
+machine/phase/placement combos through that route and compares with
+``==`` against the frozen bodies in ``tests/sim/scalar_oracle.py``,
+covers the §VI presets' curve corners, and checks that a placement's
+price depends neither on the order a batch is priced in nor on what the
+engine priced before.
 """
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import native_discovery
-from repro.errors import SimulationError
 from repro.hw.platforms import (
     knl_snc4_cache,
     knl_snc4_flat,
@@ -62,8 +63,7 @@ def _random_phase(rng: random.Random, buffers, max_threads) -> KernelPhase:
 
 
 def _random_placements(rng, buffers, axis, n):
-    """Axis-order-compatible placements: singles, ordered splits,
-    degenerate zero-fraction entries."""
+    """Singles, two-node splits and degenerate zero-fraction entries."""
     placements = []
     for _ in range(n):
         fractions = {}
@@ -82,16 +82,6 @@ def _random_placements(rng, buffers, axis, n):
     return placements
 
 
-def _axis_ordered(compiled, placement) -> bool:
-    """Batch rows equal the scalar path bit for bit when each buffer's
-    split iterates in node-axis order (docs/MODEL.md §7c)."""
-    for name in compiled.buffers:
-        positions = [compiled.node_pos[node] for node in placement.of(name)]
-        if positions != sorted(positions):
-            return False
-    return True
-
-
 def _scenario(seed: int):
     rng = random.Random(seed)
     machine = random_machine(rng)
@@ -107,34 +97,24 @@ def _scenario(seed: int):
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_batch_equals_scalar(self, seed):
-        engine, axis, phase, placements = _scenario(seed)
-        compiled = engine.compile_phase(phase, axis)
-        for p in placements:
-            assert _axis_ordered(compiled, p)
-        batch = engine.price_placements_batch(compiled, placements)
-        for i, placement in enumerate(placements):
-            scalar = engine.price_phase(phase, placement)
-            assert batch.seconds[i] == scalar.seconds
-            assert batch.latency_seconds[i] == scalar.latency_seconds
-            assert batch.bandwidth_seconds[i] == scalar.bandwidth_seconds
-            for k, node in enumerate(batch.nodes):
-                traffic = scalar.node_traffic.get(node)
-                expected = traffic.bw_seconds if traffic else 0.0
-                assert batch.node_bw_seconds[i, k] == expected
+        """Every placement priced on one prepared phase equals the frozen
+        scalar body and a fresh ``price_phase``, every field."""
+        engine, _, phase, placements = _scenario(seed)
+        prepared = engine.prepare_phase(phase)
+        for placement in placements:
+            got = engine.price_prepared(prepared, placement)
+            assert got == scalar_oracle.price_prepared(engine, prepared, placement)
+            assert got == engine.price_phase(phase, placement)
 
     @pytest.mark.parametrize("seed", range(0, N_SEEDS, 7))
     def test_accesses_alone_equals_scalar(self, seed):
         engine, axis, phase, _ = _scenario(seed)
         prepared = engine.prepare_phase(phase)
-        compiled = engine.compile_prepared(prepared, axis)
-        lat, bw = engine.price_accesses_alone_batch(compiled)
         for index in range(len(prepared.filtered)):
-            for k, node in enumerate(axis):
-                s_lat, s_bw = scalar_oracle.price_access_alone(
-                    engine, prepared, index, node
-                )
-                assert lat[index, k] == s_lat
-                assert bw[index, k] == s_bw
+            for node in axis:
+                assert engine._price_access_alone(
+                    prepared, index, node
+                ) == scalar_oracle.price_access_alone(engine, prepared, index, node)
 
 
 PRESET_BUILDERS = (
@@ -176,13 +156,19 @@ class TestPresetEdges:
                 ),
             ),
         )
-        compiled = engine.compile_phase(phase, axis)
+        prepared = engine.prepare_phase(phase)
         placements = _random_placements(
             rng, ("small", "big", "chase"), axis, 20
         )
-        batch = engine.price_placements_batch(compiled, placements)
-        for i, placement in enumerate(placements):
-            assert batch.seconds[i] == engine.price_phase(phase, placement).seconds
+        for placement in placements:
+            assert engine.price_prepared(
+                prepared, placement
+            ) == scalar_oracle.price_prepared(engine, prepared, placement)
+        for index in range(len(prepared.filtered)):
+            for node in axis:
+                assert engine._price_access_alone(
+                    prepared, index, node
+                ) == scalar_oracle.price_access_alone(engine, prepared, index, node)
 
     def test_zero_traffic_access(self):
         engine = SimEngine(xeon_cascadelake_1lm())
@@ -198,88 +184,11 @@ class TestPresetEdges:
             ),
             cpu_ops=10**9,
         )
-        compiled = engine.compile_phase(phase, axis)
+        prepared = engine.prepare_phase(phase)
         placement = Placement.single(warm=axis[0])
-        batch = engine.price_placements_batch(compiled, [placement])
-        assert batch.seconds[0] == engine.price_phase(phase, placement).seconds
-
-    def test_empty_batch(self):
-        engine = SimEngine(xeon_cascadelake_1lm())
-        compiled = engine.compile_phase(
-            KernelPhase(
-                name="p", threads=1,
-                accesses=(
-                    BufferAccess(
-                        buffer="a", pattern=PatternKind.STREAM,
-                        bytes_read=MiB, working_set=MiB,
-                    ),
-                ),
-            )
-        )
-        batch = engine.price_placements_batch(compiled, [])
-        assert batch.rows == 0
-
-    def test_bad_tensor_shape_rejected(self):
-        engine = SimEngine(xeon_cascadelake_1lm())
-        compiled = engine.compile_phase(
-            KernelPhase(
-                name="p", threads=1,
-                accesses=(
-                    BufferAccess(
-                        buffer="a", pattern=PatternKind.STREAM,
-                        bytes_read=MiB, working_set=MiB,
-                    ),
-                ),
-            )
-        )
-        bad = np.zeros((2, compiled.n_buffers + 1, compiled.n_nodes))
-        with pytest.raises(SimulationError):
-            engine.price_placements_batch(compiled, bad)
-
-    def test_off_axis_placement_rejected(self):
-        engine = SimEngine(xeon_cascadelake_1lm())
-        axis = tuple(sorted(engine._nodes))
-        phase = KernelPhase(
-            name="p", threads=1,
-            accesses=(
-                BufferAccess(
-                    buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=MiB, working_set=MiB,
-                ),
-            ),
-        )
-        compiled = engine.compile_phase(phase, axis[:1])
-        off_axis = Placement.single(a=axis[-1])
-        with pytest.raises(SimulationError):
-            engine.price_placements_batch(compiled, [off_axis])
-
-    def test_accepts_rejects_out_of_order_split(self):
-        """The bit-identity precondition holds for an in-order split and
-        not for a backwards one, which prices as its axis-ordered twin."""
-        engine = SimEngine(xeon_cascadelake_1lm())
-        axis = tuple(sorted(engine._nodes))
-        if len(axis) < 2:
-            pytest.skip("needs two nodes")
-        phase = KernelPhase(
-            name="p", threads=1,
-            accesses=(
-                BufferAccess(
-                    buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=MiB, working_set=MiB,
-                ),
-            ),
-        )
-        compiled = engine.compile_phase(phase, axis)
-        backwards = Placement({"a": {axis[1]: 0.25, axis[0]: 0.75}})
-        assert not _axis_ordered(compiled, backwards)
-        in_order = Placement({"a": {axis[0]: 0.75, axis[1]: 0.25}})
-        assert _axis_ordered(compiled, in_order)
-        # The tensor is laid out on the axis, so a backwards split is
-        # priced as its axis-ordered twin, which the scalar path matches.
-        batch = engine.price_placements_batch(compiled, [backwards, in_order])
-        assert batch.seconds[0] == batch.seconds[1]
-        scalar = engine.price_prepared(compiled.prepared, in_order)
-        assert batch.seconds[1] == scalar.seconds
+        got = engine.price_prepared(prepared, placement)
+        assert got == scalar_oracle.price_prepared(engine, prepared, placement)
+        assert got.bound == "cpu"
 
 
 def _hyp_scenario(seed: int):
@@ -287,8 +196,7 @@ def _hyp_scenario(seed: int):
     rng = random.Random(seed ^ 0x5EED)
     buffers = tuple(a.buffer for a in phase.accesses)
     placements = _random_placements(rng, buffers, axis, 12)
-    compiled = engine.compile_phase(phase, axis)
-    return engine, compiled, placements
+    return engine, phase, placements
 
 
 class TestInvariants:
@@ -302,19 +210,15 @@ class TestInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_row_order_independent(self, seed, data):
-        """Permuting batch rows permutes results — rows never interact."""
-        engine, compiled, placements = _hyp_scenario(seed)
+        """Pricing a batch in another order permutes the results: the
+        engine's warm memo never changes a price."""
+        engine, phase, placements = _hyp_scenario(seed)
+        prepared = engine.prepare_phase(phase)
         perm = data.draw(st.permutations(range(len(placements))))
-        base = engine.price_placements_batch(compiled, placements)
-        shuffled = engine.price_placements_batch(
-            compiled, [placements[i] for i in perm]
-        )
+        base = [engine.price_prepared(prepared, p) for p in placements]
+        shuffled = [engine.price_prepared(prepared, placements[i]) for i in perm]
         for new_row, old_row in enumerate(perm):
-            assert shuffled.seconds[new_row] == base.seconds[old_row]
-            assert np.array_equal(
-                shuffled.node_bw_seconds[new_row],
-                base.node_bw_seconds[old_row],
-            )
+            assert shuffled[new_row] == base[old_row]
 
     @given(
         seed=st.integers(min_value=0, max_value=500),
@@ -326,8 +230,9 @@ class TestInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_slice_equals_individual(self, seed, data):
-        """Any sub-batch prices identically to the full batch's rows."""
-        engine, compiled, placements = _hyp_scenario(seed)
+        """Any sub-batch, priced on a cold engine, equals the full
+        batch's rows."""
+        engine, phase, placements = _hyp_scenario(seed)
         rows = data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=len(placements) - 1),
@@ -335,93 +240,9 @@ class TestInvariants:
                 max_size=len(placements),
             )
         )
-        base = engine.price_placements_batch(compiled, placements)
-        sub = engine.price_placements_batch(
-            compiled, [placements[i] for i in rows]
-        )
-        for j, i in enumerate(rows):
-            assert sub.seconds[j] == base.seconds[i]
-            assert sub.latency_seconds[j] == base.latency_seconds[i]
-            assert sub.bandwidth_seconds[j] == base.bandwidth_seconds[i]
-
-
-class TestGenerationStaleness:
-    """Satellite: degraded attrs must never serve stale prices."""
-
-    def _bound_engine(self):
-        machine = xeon_cascadelake_1lm()
-        topo = build_topology(machine)
-        attrs = native_discovery(topo)
-        engine = SimEngine(machine, topo, attrs=attrs)
-        return engine, topo, attrs
-
-    def _any_target(self, topo, attrs):
-        return topo.numanodes()[0]
-
-    def test_blend_memo_evicted_on_generation_bump(self):
-        engine, topo, attrs = self._bound_engine()
-        phase = KernelPhase(
-            name="p", threads=4,
-            accesses=(
-                BufferAccess(
-                    buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=GB, working_set=GB,
-                ),
-            ),
-        )
-        node = min(engine._nodes)
-        engine.price_phase(phase, Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["blend_entries"] > 0
-        assert stats["evictions"] == 0
-
-        target = self._any_target(topo, attrs)
-        assert attrs.degrade_target("Bandwidth", target, 0.5) > 0
-        engine.price_phase(phase, Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["generation"] == attrs.generation
-        assert stats["evictions"] > 0
-
-    def test_stale_compiled_phase_refused(self):
-        engine, topo, attrs = self._bound_engine()
-        phase = KernelPhase(
-            name="p", threads=4,
-            accesses=(
-                BufferAccess(
-                    buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=GB, working_set=GB,
-                ),
-            ),
-        )
-        compiled = engine.compile_phase(phase)
-        node = min(engine._nodes)
-        placement = Placement.single(a=node)
-        engine.price_placements_batch(compiled, [placement])  # fresh: fine
-
-        target = self._any_target(topo, attrs)
-        attrs.degrade_target("Latency", target, 2.0)
-        with pytest.raises(SimulationError, match="generation"):
-            engine.price_placements_batch(compiled, [placement])
-        # Recompiling under the new generation restores service, and the
-        # fresh tables price identically to the scalar path again.
-        fresh = engine.compile_phase(phase)
-        batch = engine.price_placements_batch(fresh, [placement])
-        assert batch.seconds[0] == engine.price_phase(phase, placement).seconds
-
-    def test_unbound_engine_never_evicts(self):
-        engine = SimEngine(xeon_cascadelake_1lm())
-        phase = KernelPhase(
-            name="p", threads=4,
-            accesses=(
-                BufferAccess(
-                    buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=GB, working_set=GB,
-                ),
-            ),
-        )
-        node = min(engine._nodes)
-        for _ in range(3):
-            engine.price_phase(phase, Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["generation"] == 0
-        assert stats["evictions"] == 0
+        prepared = engine.prepare_phase(phase)
+        base = [engine.price_prepared(prepared, p) for p in placements]
+        cold = SimEngine(engine.machine, engine.topology)
+        cold_prepared = cold.prepare_phase(phase)
+        for i in rows:
+            assert cold.price_prepared(cold_prepared, placements[i]) == base[i]

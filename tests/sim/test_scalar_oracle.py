@@ -1,12 +1,12 @@
 """The scalar pricer against its frozen body, field by field.
 
-``tests/sim/test_pricing_batch.py`` holds the batch pricer to the scalar
-one on four ``PhaseTiming`` fields and axis-ordered splits only.  Here
 :meth:`SimEngine.price_prepared` must reproduce the frozen body in
 ``tests/sim/scalar_oracle.py`` exactly: every float bit for bit, and
 every ``node_traffic``/``buffer_timings`` entry (``nodes`` dicts
 included) in the same key order, over random phases whose buffers sit on
-one node or split over two or three nodes in arbitrary order.
+one node or split over two or three nodes in arbitrary order.  The four
+§VI presets cover NVDIMM write buffers, latency knees and both
+memory-side caches (Xeon 2LM, KNL Cache mode).
 """
 
 import dataclasses
@@ -14,7 +14,12 @@ import random
 
 import pytest
 
-from repro.hw.platforms import knl_snc4_flat, xeon_cascadelake_1lm
+from repro.hw.platforms import (
+    knl_snc4_cache,
+    knl_snc4_flat,
+    xeon_cascadelake_1lm,
+    xeon_cascadelake_2lm,
+)
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement, SimEngine
 from repro.topology import build_topology
 from repro.units import MiB
@@ -23,7 +28,15 @@ from tests.sim import scalar_oracle
 N_SEEDS = 100
 
 
-@pytest.fixture(scope="module", params=(xeon_cascadelake_1lm, knl_snc4_flat))
+@pytest.fixture(
+    scope="module",
+    params=(
+        xeon_cascadelake_1lm,
+        knl_snc4_flat,
+        xeon_cascadelake_2lm,
+        knl_snc4_cache,
+    ),
+)
 def engine(request):
     machine = request.param()
     return SimEngine(machine, build_topology(machine))
@@ -72,7 +85,7 @@ def _random_phase(rng: random.Random, n_pus: int):
 
 def _random_split(rng: random.Random, axis) -> dict[int, float]:
     """One node, or two or three in random (not axis) order."""
-    ways = rng.choice((1, 2, 3))
+    ways = rng.choice((1, 2, 3)[: len(axis)])
     nodes = rng.sample(axis, ways)
     if ways == 1:
         return {nodes[0]: 1.0}
