@@ -17,7 +17,8 @@ import pytest
 
 import repro
 from repro.apps import StreamApp
-from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
+from repro.apps.stream_app import triad_accesses
+from repro.sim import KernelPhase, Placement
 from repro.units import GiB
 
 KNL_PUS = tuple(range(64))
@@ -27,18 +28,7 @@ XEON_PUS = tuple(range(40))
 def _triad_fixed(setup, node, total_bytes, threads, pus):
     """Triad with all arrays on one node (what cache modes give you)."""
     arr = total_bytes // 3
-    phase = KernelPhase(
-        name="triad",
-        threads=threads,
-        accesses=(
-            BufferAccess(buffer="a", pattern=PatternKind.STREAM,
-                         bytes_written=arr, working_set=arr),
-            BufferAccess(buffer="b", pattern=PatternKind.STREAM,
-                         bytes_read=arr, working_set=arr),
-            BufferAccess(buffer="c", pattern=PatternKind.STREAM,
-                         bytes_read=arr, working_set=arr),
-        ),
-    )
+    phase = KernelPhase(name="triad", threads=threads, accesses=triad_accesses(arr))
     t = setup.engine.price_phase(
         phase, Placement.single(a=node, b=node, c=node), pus=pus
     )

@@ -3,27 +3,17 @@
 Regenerates the attribute dump with the exact units and initiator labels
 of the paper (Capacity in bytes; Bandwidth 131072/78644 MB/s; Latency
 26/77 ns; values only for local accesses) through the native discovery
-path.
+path, by the recipe of :mod:`repro.experiments`.
 """
 
-import pytest
-
-from repro.core import MemAttrs, discover_from_sysfs, render_memattrs
-from repro.firmware import build_sysfs
+from repro.core import MemAttrs, render_memattrs
+from repro.experiments import fig5
 from repro.hw import get_platform
 from repro.topology import build_topology
 
 
-@pytest.fixture(scope="module")
-def fig2_topology():
-    return build_topology(get_platform("xeon-cascadelake-1lm", snc=2))
-
-
-def test_fig5_native_discovery(record, fig2_topology):
-    memattrs = MemAttrs(fig2_topology)
-    discover_from_sysfs(memattrs, build_sysfs(fig2_topology.machine_spec))
-    text = render_memattrs(memattrs, only=("Capacity", "Bandwidth", "Latency"))
-    record("fig5_lstopo_memattrs", text)
+def test_fig5_native_discovery(archive):
+    text = archive(fig5()).text
 
     # The exact lines of the paper's Fig. 5 (modulo usable-capacity
     # rounding, documented in EXPERIMENTS.md).
@@ -51,13 +41,14 @@ def test_fig5_native_discovery(record, fig2_topology):
     assert len(bandwidth_lines) == 12  # 6 nodes × 2 perf attributes
 
 
-def test_fig5_remote_gap_filled_by_benchmarks(record, fig2_topology):
+def test_fig5_remote_gap_filled_by_benchmarks(record):
     """§VIII: benchmarking exposes what the HMAT cannot — remote values."""
     from repro.bench import characterize_machine, feed_attributes
     from repro.sim import SimEngine
 
-    engine = SimEngine(fig2_topology.machine_spec, fig2_topology)
-    memattrs = MemAttrs(fig2_topology)
+    topology = build_topology(get_platform("xeon-cascadelake-1lm", snc=2))
+    engine = SimEngine(topology.machine_spec, topology)
+    memattrs = MemAttrs(topology)
     feed_attributes(memattrs, characterize_machine(engine))
     text = render_memattrs(memattrs, only=("Bandwidth", "Latency"))
     record("fig5_extended_benchmarked", text)

@@ -15,9 +15,9 @@ from repro.alloc import PlacementPlanner
 from repro.apps.graph500 import Graph500Config, Graph500Driver, TrafficModel
 from repro.sensitivity import (
     classify_kernel,
-    exhaustive_search,
     infer_criterion,
     recommend_requests,
+    search_placements,
     whole_process_binding_sweep,
 )
 
@@ -60,10 +60,10 @@ def test_fig6_workflow(record):
     )
 
     # Oracle: exhaustive placement.
-    oracle = exhaustive_search(
+    oracle = search_placements(
         setup.engine, phases, model.buffer_sizes(), (0, 2),
         default_node=0, pus=XEON_PUS,
-    )[0]
+    ).best
     oracle_teps = model.edges_scanned / 2 / oracle.seconds
 
     speedup = tuned.harmonic_teps / naive.harmonic_teps

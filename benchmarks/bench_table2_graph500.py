@@ -8,8 +8,9 @@ Regenerates both halves of the paper's Table II:
   local MCDRAM vs local DDR4.
 
 Traversal traffic at the paper's nominal scales comes from the analytic
-Kronecker model (validated against real runs in the test suite); a real
-(generated + validated) run at a reduced scale is also run.
+Kronecker model (validated against real runs in the test suite), priced
+by the recipes of :mod:`repro.experiments`; a real (generated +
+validated) run at a reduced scale is also run.
 
 Each of the 14 cells is an exact ``modeled`` ledger row carrying the
 paper's value and, where the bench holds the cell to a reference, that
@@ -19,20 +20,9 @@ reference and its relative tolerance.
 import pytest
 
 from repro.apps.graph500 import Graph500Config, Graph500Driver, TrafficModel
+from repro.experiments import PAPER_2A, PAPER_2B, table2a, table2b
 from repro.units import harmonic_mean
 
-PAPER_2A = {
-    # scale: (DRAM, NVDIMM) in TEPS e+8
-    23: (3.423, 2.056),
-    24: (3.459, 2.067),
-    25: (3.481, 2.084),
-    26: (3.343, 2.107),
-    27: (2.990, 1.044),
-}
-PAPER_2B = {
-    23: (0.418, 0.415),   # (HBM, DRAM)
-    24: (0.402, 0.396),
-}
 #: Cells the bench holds to a reference value, per table half:
 #: (scale, column) -> (reference, relative tolerance).
 CHECKS = {
@@ -41,22 +31,15 @@ CHECKS = {
 }
 
 
-def _teps(setup, pus, node, scale, nroots=4):
-    driver = Graph500Driver(setup.engine)
-    model = TrafficModel.analytic(scale)
-    cfg = Graph500Config(scale=scale, nroots=nroots, threads=16)
-    result = driver.run_model(
-        cfg, driver.placement_all_on(node, model), pus=pus, model=model
-    )
-    return result.harmonic_teps / 1e8
-
-
-def _cell(ledger, table, scale, column, value, paper):
-    """One Table II cell as an exact modeled row, with its provenance."""
-    ledger.row(
-        f"{table}.scale{scale}.{column}", value, "1e8 TEPS", "higher", "modeled",
-        paper=paper, approx=CHECKS[table].get((scale, column)),
-    )
+def _cells(ledger, table, columns, measured, paper):
+    """Each Table II cell as an exact modeled row, with its provenance."""
+    for scale, values in measured.items():
+        for column, value, paper_value in zip(columns, values, paper[scale]):
+            ledger.row(
+                f"{table}.scale{scale}.{column}", value, "1e8 TEPS", "higher",
+                "modeled", paper=paper_value,
+                approx=CHECKS[table].get((scale, column)),
+            )
 
 
 def _check_cells(ledger, table):
@@ -65,24 +48,9 @@ def _check_cells(ledger, table):
         assert value == pytest.approx(reference, rel=rel), (table, scale, column)
 
 
-def test_table2a_xeon(record, ledger, xeon_setup, xeon_pus):
-    rows = [
-        f"{'Graph Size':>12} | {'DRAM':>7} | {'NVDIMM':>7} |"
-        f" {'paper DRAM':>10} | {'paper NVDIMM':>12}"
-    ]
-    measured = {}
-    for scale, (p_dram, p_nvd) in PAPER_2A.items():
-        dram = _teps(xeon_setup, xeon_pus, 0, scale)
-        nvd = _teps(xeon_setup, xeon_pus, 2, scale)
-        measured[scale] = (dram, nvd)
-        _cell(ledger, "2a", scale, "dram", dram, p_dram)
-        _cell(ledger, "2a", scale, "nvdimm", nvd, p_nvd)
-        size_gb = 16 * (1 << scale) * 16 / 1e9
-        rows.append(
-            f"{size_gb:>10.2f}GB | {dram:>7.3f} | {nvd:>7.3f} |"
-            f" {p_dram:>10.3f} | {p_nvd:>12.3f}"
-        )
-    record("table2a_graph500_xeon", "\n".join(rows))
+def test_table2a_xeon(archive, ledger, xeon_setup):
+    measured = archive(table2a(xeon_setup)).values
+    _cells(ledger, "2a", ("dram", "nvdimm"), measured, PAPER_2A)
 
     # Shape assertions (who wins, by what factor, where the cliff is).
     for scale, (dram, nvd) in measured.items():
@@ -93,24 +61,9 @@ def test_table2a_xeon(record, ledger, xeon_setup, xeon_pus):
     _check_cells(ledger, "2a")
 
 
-def test_table2b_knl(record, ledger, knl_setup, knl_pus):
-    rows = [
-        f"{'Graph Size':>12} | {'HBM':>7} | {'DRAM':>7} |"
-        f" {'paper HBM':>9} | {'paper DRAM':>10}"
-    ]
-    measured = {}
-    for scale, (p_hbm, p_dram) in PAPER_2B.items():
-        hbm = _teps(knl_setup, knl_pus, 4, scale)
-        dram = _teps(knl_setup, knl_pus, 0, scale)
-        measured[scale] = (hbm, dram)
-        _cell(ledger, "2b", scale, "hbm", hbm, p_hbm)
-        _cell(ledger, "2b", scale, "dram", dram, p_dram)
-        size_gb = 16 * (1 << scale) * 16 / 1e9
-        rows.append(
-            f"{size_gb:>10.2f}GB | {hbm:>7.3f} | {dram:>7.3f} |"
-            f" {p_hbm:>9.3f} | {p_dram:>10.3f}"
-        )
-    record("table2b_graph500_knl", "\n".join(rows))
+def test_table2b_knl(archive, ledger, knl_setup):
+    measured = archive(table2b(knl_setup)).values
+    _cells(ledger, "2b", ("hbm", "dram"), measured, PAPER_2B)
 
     # The paper's KNL finding: HBM ≈ DRAM (no reason to burn MCDRAM).
     for scale, (hbm, dram) in measured.items():

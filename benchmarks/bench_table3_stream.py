@@ -9,28 +9,20 @@ under whatever placement ``mem_alloc`` produced:
 * (b) KNL, 16 threads on one cluster: Bandwidth → MCDRAM (85-90, then
   capacity fallback to DRAM at 17.9 GiB ⇒ 29.2) vs Latency → DRAM (29.2).
 
-Each of the 12 cells, the OOM one included, is an exact ``modeled``
-ledger row carrying the paper's value and, where the bench holds the
-cell to a reference, that reference and its relative tolerance.
+Both halves are priced by the recipes of :mod:`repro.experiments`, each
+on a fresh stack.  Each of the 12 cells, the OOM one included, is an
+exact ``modeled`` ledger row carrying the paper's value and, where the
+bench holds the cell to a reference, that reference and its relative
+tolerance.
 """
 
 import pytest
 
+import repro
 from repro.apps import StreamApp
-from repro.errors import CapacityError
+from repro.experiments import PAPER_3A, PAPER_3B, table3a, table3b
 from repro.units import GiB
 
-PAPER_3A = {
-    # total GiB: (Capacity/NVDIMM, Latency/DRAM); None = blank cell (OOM)
-    22.4: (31.59, 75.06),
-    89.4: (10.49, 75.24),
-    223.5: (9.46, None),
-}
-PAPER_3B = {
-    1.1: (85.05, 29.17),     # (Bandwidth/HBM, Latency/DRAM)
-    3.4: (89.90, 29.17),
-    17.9: (29.16, None),
-}
 #: Cells the bench holds to a reference value, per table half:
 #: (total GiB, column) -> (reference, relative tolerance).
 CHECKS = {
@@ -56,24 +48,17 @@ CHECKS = {
 }
 
 
-def _fresh_xeon_app():
-    import repro
-    setup = repro.quick_setup("xeon-cascadelake-1lm")
-    return StreamApp(setup.engine, setup.allocator)
+def _cells(ledger, table, columns, measured, paper):
+    """Each Table III cell as an exact modeled row (``None`` = OOM).
 
-
-def _fresh_knl_app():
-    import repro
-    setup = repro.quick_setup("knl-snc4-flat")
-    return StreamApp(setup.engine, setup.allocator)
-
-
-def _cell(ledger, table, gib, column, value, paper):
-    """One Table III cell as an exact modeled row (``None`` = OOM)."""
-    ledger.row(
-        f"{table}.{gib}GiB.{column}", value, "GB/s", "higher", "modeled",
-        paper=paper, approx=CHECKS[table].get((gib, column)),
-    )
+    ``zip`` stops at the two columns: the fallback flag has no cell.
+    """
+    for gib, values in measured.items():
+        for column, value, paper_value in zip(columns, values, paper[gib]):
+            ledger.row(
+                f"{table}.{gib}GiB.{column}", value, "GB/s", "higher", "modeled",
+                paper=paper_value, approx=CHECKS[table].get((gib, column)),
+            )
 
 
 def _check_cells(ledger, table):
@@ -82,68 +67,17 @@ def _check_cells(ledger, table):
         assert value == pytest.approx(reference, rel=rel), (table, gib, column)
 
 
-def test_table3a_xeon(record, ledger, xeon_pus):
-    app = _fresh_xeon_app()
-    rows = [
-        f"{'Total':>9} | {'Capacity':>9} | {'Latency':>8} |"
-        f" {'paper Cap':>9} | {'paper Lat':>9}"
-    ]
-    measured = {}
-    for gib, (p_cap, p_lat) in PAPER_3A.items():
-        cap = app.run(
-            int(gib * GiB), "Capacity", 0, threads=20, pus=xeon_pus
-        ).triad_gbps
-        try:
-            lat = app.run(
-                int(gib * GiB), "Latency", 0, threads=20, pus=xeon_pus,
-                strict=True,
-            ).triad_gbps
-            lat_text = f"{lat:8.2f}"
-        except CapacityError:
-            lat = None
-            lat_text = f"{'OOM':>8}"
-        measured[gib] = (cap, lat)
-        _cell(ledger, "3a", gib, "capacity", cap, p_cap)
-        _cell(ledger, "3a", gib, "latency", lat, p_lat)
-        rows.append(
-            f"{gib:>7.1f}Gi | {cap:>9.2f} | {lat_text} |"
-            f" {p_cap:>9.2f} | {p_lat if p_lat else 'blank':>9}"
-        )
-    record("table3a_stream_xeon", "\n".join(rows))
+def test_table3a_xeon(archive, ledger):
+    measured = archive(table3a(repro.quick_setup("xeon-cascadelake-1lm"))).values
+    _cells(ledger, "3a", ("capacity", "latency"), measured, PAPER_3A)
 
     _check_cells(ledger, "3a")
     assert measured[223.5][1] is None
 
 
-def test_table3b_knl(record, ledger, knl_pus):
-    app = _fresh_knl_app()
-    rows = [
-        f"{'Total':>9} | {'Bandwidth':>9} | {'Latency':>8} |"
-        f" {'paper BW':>9} | {'paper Lat':>9}"
-    ]
-    measured = {}
-    for gib, (p_bw, p_lat) in PAPER_3B.items():
-        bw_res = app.run(
-            int(gib * GiB), "Bandwidth", 0, threads=16, pus=knl_pus
-        )
-        bw = bw_res.triad_gbps
-        try:
-            lat = app.run(
-                int(gib * GiB), "Latency", 0, threads=16, pus=knl_pus,
-                strict=True,
-            ).triad_gbps
-            lat_text = f"{lat:8.2f}"
-        except CapacityError:
-            lat = None
-            lat_text = f"{'OOM':>8}"
-        measured[gib] = (bw, lat, bw_res.fallback_used)
-        _cell(ledger, "3b", gib, "bandwidth", bw, p_bw)
-        _cell(ledger, "3b", gib, "latency", lat, p_lat)
-        rows.append(
-            f"{gib:>7.1f}Gi | {bw:>9.2f} | {lat_text} |"
-            f" {p_bw:>9.2f} | {p_lat if p_lat else 'blank':>9}"
-        )
-    record("table3b_stream_knl", "\n".join(rows))
+def test_table3b_knl(archive, ledger):
+    measured = archive(table3b(repro.quick_setup("knl-snc4-flat"))).values
+    _cells(ledger, "3b", ("bandwidth", "latency"), measured, PAPER_3B)
 
     _check_cells(ledger, "3b")
     assert measured[17.9][2], "capacity fallback must have triggered"
@@ -153,7 +87,6 @@ def test_custom_triad_criterion(record, knl_pus):
     """Footnote 16's custom attribute used as the allocation criterion:
     ranking by the combined 2R:1W metric picks the same target as
     Bandwidth on KNL."""
-    import repro
     from repro.core import stream_triad_attribute
     setup = repro.quick_setup("knl-snc4-flat")
     stream_triad_attribute(setup.memattrs)

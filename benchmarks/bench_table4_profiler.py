@@ -1,65 +1,40 @@
 """Table IV: VTune-style Memory Access summaries for Graph500 and STREAM.
 
 Regenerates the four rows of the paper's Table IV — each application
-profiled with its memory on DRAM and on NVDIMM — and asserts the
-indicator-flag pattern the paper reads off VTune: Graph500 is
-memory-*latency* bound (Bound flags on, Bandwidth-Bound columns at 0.0);
-STREAM is *bandwidth* bound.
+profiled with its memory on DRAM and on NVDIMM — through the recipes of
+:mod:`repro.experiments`, and asserts the indicator-flag pattern the
+paper reads off VTune: Graph500 is memory-*latency* bound (Bound flags
+on, Bandwidth-Bound columns at 0.0); STREAM is *bandwidth* bound.
+
+Each of the 16 cells (four runs × DRAM/PMem Bound and DRAM/PMem
+Bandwidth Bound) is an exact ``modeled`` row of
+``benchmarks/results/bench_table4_profiler.json``, carrying whether the
+cell's flag fired.
 """
 
-import pytest
+from repro.experiments import table4, table4_criteria
 
-from repro.apps.graph500 import Graph500Config, Graph500Driver, TrafficModel
-from repro.profiler import analyze_run, render_summary_table
-from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
-from repro.units import GiB
+KINDS = ("DRAM", "PMem")
 
 
-def _graph500_run(setup, pus, node):
-    driver = Graph500Driver(setup.engine)
-    model = TrafficModel.analytic(23)
-    cfg = Graph500Config(scale=23, nroots=1, threads=16)
-    return setup.engine.price_run(
-        model.phases(cfg), driver.placement_all_on(node, model), pus=pus
-    )
+def _cells(ledger, summaries):
+    """Each Table IV cell as an exact modeled row, as the table shows it."""
+    for label, summary in summaries.items():
+        row = label.lower().replace(" / ", ".").replace(" ", "_")
+        for kind in KINDS:
+            for metric, pct, unit, flag in (
+                ("bound", summary.bound_pct, "%clk", f"{kind} Bound"),
+                ("bw_bound", summary.bw_bound_pct, "%t", f"{kind} Bandwidth Bound"),
+            ):
+                ledger.row(
+                    f"{row}.{kind.lower()}_{metric}", pct.get(kind, 0.0), unit,
+                    "lower", "modeled", flagged=bool(summary.flags.get(flag)),
+                )
 
 
-def _stream_run(setup, pus, node):
-    arr = int(22.4 * GiB / 3)
-    phase = KernelPhase(
-        name="triad",
-        threads=20,
-        accesses=(
-            BufferAccess(buffer="a", pattern=PatternKind.STREAM,
-                         bytes_written=arr, working_set=arr),
-            BufferAccess(buffer="b", pattern=PatternKind.STREAM,
-                         bytes_read=arr, working_set=arr),
-            BufferAccess(buffer="c", pattern=PatternKind.STREAM,
-                         bytes_read=arr, working_set=arr),
-        ),
-    )
-    return setup.engine.price_run(
-        [phase], Placement.single(a=node, b=node, c=node), pus=pus
-    )
-
-
-def test_table4_summary(record, xeon_setup, xeon_pus):
-    machine = xeon_setup.machine
-    rows = {
-        "Graph500 / DRAM": analyze_run(
-            machine, _graph500_run(xeon_setup, xeon_pus, 0)
-        ),
-        "Graph500 / NVDIMM": analyze_run(
-            machine, _graph500_run(xeon_setup, xeon_pus, 2)
-        ),
-        "STREAM Triad / DRAM": analyze_run(
-            machine, _stream_run(xeon_setup, xeon_pus, 0)
-        ),
-        "STREAM Triad / NVDIMM": analyze_run(
-            machine, _stream_run(xeon_setup, xeon_pus, 2)
-        ),
-    }
-    record("table4_vtune_summary", render_summary_table(rows))
+def test_table4_summary(archive, ledger, xeon_setup):
+    rows = archive(table4(xeon_setup)).values
+    _cells(ledger, rows)
 
     # Paper row 1: Graph500/DRAM — DRAM Bound flagged, no bandwidth flags.
     g_dram = rows["Graph500 / DRAM"]
@@ -86,20 +61,9 @@ def test_table4_summary(record, xeon_setup, xeon_pus):
     assert s_nvd.bandwidth_sensitive
 
 
-def test_profiling_driven_criteria(record, xeon_setup, xeon_pus):
+def test_profiling_driven_criteria(archive, xeon_setup):
     """§VI-B's conclusion: the profile justifies the Latency attribute for
     Graph500 and Bandwidth for STREAM."""
-    from repro.sensitivity import classify_buffers
-    machine = xeon_setup.machine
-
-    g_run = _graph500_run(xeon_setup, xeon_pus, 2)
-    s_run = _stream_run(xeon_setup, xeon_pus, 0)
-    g_criteria = classify_buffers(machine, g_run)
-    s_criteria = classify_buffers(machine, s_run)
-    record(
-        "table4_derived_criteria",
-        f"Graph500 buffer criteria: {g_criteria}\n"
-        f"STREAM buffer criteria:   {s_criteria}",
-    )
-    assert g_criteria["parent"] == "Latency"
-    assert set(s_criteria.values()) == {"Bandwidth"}
+    criteria = archive(table4_criteria(xeon_setup)).values
+    assert criteria["Graph500"]["parent"] == "Latency"
+    assert set(criteria["STREAM"].values()) == {"Bandwidth"}

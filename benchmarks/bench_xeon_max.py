@@ -12,7 +12,8 @@ import pytest
 
 import repro
 from repro.apps import StreamApp
-from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
+from repro.apps.stream_app import triad_accesses
+from repro.sim import KernelPhase, Placement
 from repro.units import GiB
 
 PUS = tuple(range(28))  # quadrant 0: 14 cores × 2 PUs
@@ -53,18 +54,7 @@ def test_xeon_max_flat_vs_cache(record):
 
     def triad_on(setup, node, gib):
         arr = int(gib * GiB / 3)
-        phase = KernelPhase(
-            name="triad",
-            threads=14,
-            accesses=(
-                BufferAccess(buffer="a", pattern=PatternKind.STREAM,
-                             bytes_written=arr, working_set=arr),
-                BufferAccess(buffer="b", pattern=PatternKind.STREAM,
-                             bytes_read=arr, working_set=arr),
-                BufferAccess(buffer="c", pattern=PatternKind.STREAM,
-                             bytes_read=arr, working_set=arr),
-            ),
-        )
+        phase = KernelPhase(name="triad", threads=14, accesses=triad_accesses(arr))
         t = setup.engine.price_phase(
             phase, Placement.single(a=node, b=node, c=node), pus=PUS
         )

@@ -69,6 +69,18 @@ def record(results_dir):
     return _record
 
 
+@pytest.fixture(scope="session")
+def archive(record):
+    """archive(artifact): record a :mod:`repro.experiments` recipe's
+    artifact under its own name and hand it back."""
+
+    def _archive(artifact):
+        record(artifact.name, artifact.text)
+        return artifact
+
+    return _archive
+
+
 @pytest.fixture(scope="module")
 def ledger(request, results_dir):
     """The module's :class:`Ledger`, written when the module finishes.

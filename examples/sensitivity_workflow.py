@@ -19,8 +19,8 @@ from repro.apps.graph500 import Graph500Config, Graph500Driver, TrafficModel
 from repro.profiler import analyze_run, object_analysis, render_object_report
 from repro.sensitivity import (
     classify_kernel,
-    exhaustive_search,
     recommend_requests,
+    search_placements,
 )
 
 PUS = tuple(range(40))
@@ -54,14 +54,14 @@ def main() -> None:
         print(f"    {buffer:<12} -> {criterion}")
 
     print("\n### Method 3 — exhaustive placement search (the 2^N oracle)")
-    candidates = exhaustive_search(
+    candidates = search_placements(
         setup.engine,
         phases,
         model.buffer_sizes(),
         (0, 2),
         default_node=0,
         pus=PUS,
-    )
+    ).candidates
     best = candidates[0]
     print(f"    best of {len(candidates)} placements: {best.as_dict()} "
           f"({best.seconds * 1e3:.1f} ms)")

@@ -187,6 +187,15 @@ def build_search_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_nodes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise ReproError(
+            f"--nodes takes comma-separated NUMA node numbers, got {text!r}"
+        ) from None
+
+
 def search_main(argv: list[str] | None = None) -> int:
     from .apps.graph500 import Graph500Config, TrafficModel
     from .sensitivity import search_placements
@@ -195,14 +204,15 @@ def search_main(argv: list[str] | None = None) -> int:
     start_obs(args)
     machine = get_platform(args.platform)
     engine = SimEngine(machine)
-    nodes = tuple(int(n) for n in args.nodes.split(","))
-    model = TrafficModel.analytic(args.scale)
-    cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
-    phases = model.phases(cfg, per_level=args.per_level)
     critical = (
         tuple(args.critical.split(",")) if args.critical is not None else None
     )
     try:
+        nodes = _parse_nodes(args.nodes)
+        # The config validates the scale before the model shifts by it.
+        cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
+        model = TrafficModel.analytic(args.scale)
+        phases = model.phases(cfg, per_level=args.per_level)
         result = search_placements(
             engine,
             phases,

@@ -185,30 +185,35 @@ class AutoTierDaemon:
         (demotions) or its non-fast share pulled to the roomiest fast node
         (promotions) — each through :meth:`SimEngine.price_prepared` on
         the phase prepared once per :meth:`set_phase`.  Returns the
-        (demote, promote) veto sets.  Guidance quietly stands down when
-        the phase references untracked buffers or a tier is empty.
+        (demote, promote) veto sets.  Only buffers the phase accesses are
+        candidates: the pricing cannot tell whether moving any other
+        buffer pays, so the hotness heuristic decides it.  Guidance quietly
+        stands down when the phase references untracked buffers or a tier
+        is empty.
         """
         cfg = self.config
         if self._engine is None or self._phase is None or not fast or not slow:
             return set(), set()
+        tracked = self._tracked
+        buffers = [access.buffer for access in self._phase.accesses]
         demote_cands = [
             name
-            for name, t in self._tracked.items()
-            if t.hotness < cfg.demotion_threshold
+            for name, t in tracked.items()
+            if name in buffers
+            and t.hotness < cfg.demotion_threshold
             and any(t.allocation.pages_by_node.get(n, 0) for n in fast)
         ]
         promote_cands = [
             name
-            for name, t in self._tracked.items()
-            if t.hotness >= cfg.promotion_threshold
+            for name, t in tracked.items()
+            if name in buffers
+            and t.hotness >= cfg.promotion_threshold
             and self._fraction_fast(t.allocation) < 0.999
         ]
         if not demote_cands and not promote_cands:
             return set(), set()
         if self._prepared is None:
             self._prepared = self._engine.prepare_phase(self._phase, pus=self._pus)
-        tracked = self._tracked
-        buffers = [access.buffer for access in self._phase.accesses]
         if any(b not in tracked for b in buffers):
             return set(), set()
 
@@ -232,9 +237,7 @@ class AutoTierDaemon:
 
         def diverted(name: str, sources, dest: int) -> float:
             """Phase seconds with ``name``'s share on ``sources`` at ``dest``."""
-            split = base.get(name)
-            if split is None:  # a buffer the phase does not touch
-                return baseline
+            split = base[name]
             moved = 0.0
             for n in sources:
                 moved += split.get(n, 0.0)

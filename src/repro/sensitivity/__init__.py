@@ -23,7 +23,6 @@ from .search import (
     PlacementCandidate,
     SearchResult,
     SearchStats,
-    exhaustive_search,
     search_placements,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "PlacementCandidate",
     "SearchResult",
     "SearchStats",
-    "exhaustive_search",
     "search_placements",
 ]

@@ -400,6 +400,24 @@ class TestPriceGuidance:
         assert report.promoted == ["hot"]
         assert report.candidates_priced == 0
 
+    def test_buffer_outside_phase_left_to_heuristic(self, knl_kernel):
+        """A tracked buffer the declared phase does not access is neither
+        priced, vetoed nor counted: the hotness heuristic promotes it."""
+        engine = self._engine(knl_kernel)
+        cfg = TierConfig(fast_nodes=(4,), slow_nodes=(0,))
+        d = AutoTierDaemon(knl_kernel, cfg, engine=engine)
+        hot = knl_kernel.allocate(1 * GB, bind_policy(0))
+        other = knl_kernel.allocate(1 * GB, bind_policy(0))
+        d.track("hot", hot)
+        d.track("other", other)
+        d.set_phase(self._phase(hot=64 * GB))
+        d.observe({"hot": 8 * GB, "other": 8 * GB})
+        report = d.step()
+        assert report.price_vetoed == []
+        assert sorted(report.promoted) == ["hot", "other"]
+        assert report.candidates_priced == 1
+        assert other.fraction_on(4) == pytest.approx(1.0)
+
     def test_recompiles_after_attr_generation_bump(self, knl):
         from repro.core import MemAttrs
         from repro.kernel import KernelMemoryManager

@@ -3,7 +3,7 @@
 For hundreds of seeded random machine/workload combos (mirroring the
 ``tests/hw/test_random_machines.py`` generator), every decision the
 stack takes — ``mem_alloc`` placements, ``mem_alloc_many`` batches,
-``exhaustive_search`` optima, raised error types — must be
+``search_placements`` optima, raised error types — must be
 **bit-identical** with tracing+metrics enabled and disabled.  Sizes are
 drawn large enough that capacity fallbacks and ``CapacityError`` paths
 are exercised, not just the happy path.
@@ -19,7 +19,7 @@ from repro.core import MemAttrs, native_discovery
 from repro.errors import ReproError
 from repro.hw import GroupSpec, MachineSpec, MemoryNodeSpec, PackageSpec, tech
 from repro.kernel import KernelMemoryManager
-from repro.sensitivity import exhaustive_search
+from repro.sensitivity import search_placements
 from repro.sim import BufferAccess, KernelPhase, PatternKind, SimEngine
 from repro.topology import build_topology
 from repro.units import GB, MiB
@@ -180,14 +180,14 @@ def decision_signature(seed: int) -> list:
     sizes = {b: rng.randint(8, 64) * MiB for b in ("x", "y")}
     phases = _random_phases(rng, tuple(sizes))
     try:
-        results = exhaustive_search(
+        results = search_placements(
             engine,
             phases,
             sizes,
             nodes,
             default_node=nodes[0],
             pus=tuple(range(npus)),
-        )
+        ).candidates
         # Bit-identical floats: plain ==, never approx.
         sig.append(
             ("search",)

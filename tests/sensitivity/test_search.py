@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps.graph500 import Graph500Config, TrafficModel
 from repro.errors import ReproError, SimulationError
-from repro.sensitivity import exhaustive_search, search_placements
+from repro.sensitivity import search_placements
 from repro.sensitivity.search import _BoundModel, _SearchSpace
 from repro.sim import BufferAccess, KernelPhase, PatternKind, Placement
 from repro.units import GB, MiB
@@ -25,49 +25,49 @@ def g500_setup():
 class TestSearch:
     def test_enumerates_full_space(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        results = exhaustive_search(
+        results = search_placements(
             xeon_engine, phases, sizes, (0, 2),
             default_node=0, pus=XEON_PUS,
-        )
+        ).candidates
         assert len(results) == 2 ** 4
 
     def test_best_first_ordering(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        results = exhaustive_search(
+        results = search_placements(
             xeon_engine, phases, sizes, (0, 2),
             default_node=0, pus=XEON_PUS,
-        )
+        ).candidates
         times = [c.seconds for c in results]
         assert times == sorted(times)
 
     def test_oracle_places_parent_on_dram(self, xeon_engine, g500_setup):
         """The optimal placement agrees with the Latency criterion."""
         phases, sizes = g500_setup
-        best = exhaustive_search(
+        best = search_placements(
             xeon_engine, phases, sizes, (0, 2),
             default_node=0, pus=XEON_PUS,
-        )[0]
+        ).best
         assert best.as_dict()["parent"] == 0
 
     def test_pruning_reduces_space(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        results = exhaustive_search(
+        results = search_placements(
             xeon_engine, phases, sizes, (0, 2),
             default_node=0,
             critical_buffers=("parent", "csr_targets"),
             pus=XEON_PUS,
-        )
+        ).candidates
         assert len(results) == 4
 
     def test_capacity_pruning(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
-        results = exhaustive_search(
+        results = search_placements(
             xeon_engine, phases, sizes, (0, 2),
             default_node=0,
             critical_buffers=("parent",),
             node_capacity={0: 100 * GB, 2: 0},
             pus=XEON_PUS,
-        )
+        ).candidates
         assert all(c.as_dict()["parent"] == 0 for c in results)
 
     def test_capacity_missing_node_means_unlimited(self, xeon_engine, g500_setup):
@@ -97,17 +97,11 @@ class TestSearch:
         assert result.stats.leaves_priced == 8
         assert len(result.candidates) == 8
         assert "TRUNCATED" in logged[0]
-        # The tuple-returning wrapper no longer raises either.
-        results = exhaustive_search(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, max_candidates=8,
-        )
-        assert len(results) == 8
 
     def test_unknown_critical_buffer_rejected(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         with pytest.raises(ReproError):
-            exhaustive_search(
+            search_placements(
                 xeon_engine, phases, sizes, (0, 2),
                 default_node=0, critical_buffers=("ghost",), pus=XEON_PUS,
             )
@@ -154,7 +148,7 @@ class TestSearch:
     def test_infeasible_everything_raises(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         with pytest.raises(ReproError):
-            exhaustive_search(
+            search_placements(
                 xeon_engine, phases, sizes, (0,),
                 default_node=0,
                 critical_buffers=("parent",),

@@ -98,3 +98,37 @@ class TestSearchCli:
         assert search_main(["--no-prune", "--top-k", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 by bound" in out
+
+    def test_search_lists_nodes_and_top_k(self, capsys):
+        # The header names the candidate nodes; --top-k 4 keeps four
+        # candidate rows under the buffer-column header.
+        assert search_main(["--top-k", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "nodes [0, 2]" in out.splitlines()[0]
+        assert "csr_offsets" in out
+        assert "placement search: space 16" in out
+        assert "kept 4" in out
+        assert sum("|" in line for line in out.splitlines()) == 1 + 4
+
+    def test_search_budget_truncates(self, capsys):
+        # Budget 1: the heap is not full yet, so the bound cannot prune
+        # and the second leaf must hit the budget.
+        assert search_main(["--top-k", "2", "--budget", "1"]) == 0
+        assert "TRUNCATED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nodes", "a,b"],
+            ["--nodes", ""],
+            ["--scale", "0"],
+            ["--scale", "-5"],
+            ["--threads", "0"],
+        ],
+        ids=["nodes-not-numbers", "nodes-empty", "scale-0", "scale-negative",
+             "threads-0"],
+    )
+    def test_search_malformed_input_fails(self, capsys, argv):
+        """Bad input is an ``error:`` line and exit 1, never a traceback."""
+        assert search_main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")

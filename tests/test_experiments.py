@@ -1,14 +1,19 @@
-"""Smoke tests for the standalone experiment runner."""
+"""Tests for the standalone experiment runner."""
+
+import pathlib
 
 import pytest
 
 from repro.experiments import EXPERIMENTS, main
 
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
 
 class TestRunner:
     def test_all_artifacts_registered(self):
         assert set(EXPERIMENTS) == {
-            "figs1-3", "fig5", "table2", "table3", "table4", "fig7", "search"
+            "figs1-3", "fig5", "table2", "table3", "table4", "fig7",
+            "static-hints",
         }
 
     def test_fig5_runner(self, capsys):
@@ -20,39 +25,34 @@ class TestRunner:
         assert main(["table3"]) == 0
         out = capsys.readouterr().out
         assert "OOM" in out           # the blank cell
-        assert "*" in out             # the KNL fallback marker
 
     def test_multiple_artifacts(self, capsys):
         assert main(["fig5", "figs1-3"]) == 0
         out = capsys.readouterr().out
-        assert "Fig. 1" in out and "Memory attribute" in out
+        assert "fig1_knl_snc4_hybrid50.txt" in out and "Memory attribute" in out
 
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
             main(["table99"])
 
-    def test_search_runner(self, capsys):
-        assert main(["search", "--search-top-k", "4"]) == 0
+    def test_static_hints_runner(self, capsys):
+        """The static-hint placement scored against the search optimum on
+        the same phases."""
+        assert main(["static-hints"]) == 0
         out = capsys.readouterr().out
-        assert "placement search over nodes [0, 2]" in out
-        assert "csr_offsets" in out
-        assert "placement search: space 16" in out
-
-    def test_search_runner_budget_truncates(self, capsys):
-        # Budget 1: the heap is not full yet, so the bound cannot prune
-        # and the second leaf must hit the budget.
-        assert main(["search", "--search-top-k", "2",
-                     "--search-budget", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "TRUNCATED" in out
-
-    def test_search_static_hints(self, capsys):
-        """--search-hints static scores the AST-pass placement against
-        the search optimum on the same phases."""
-        assert main(["search", "--search-top-k", "2",
-                     "--search-hints", "static"]) == 0
-        out = capsys.readouterr().out
-        assert "static hints" in out
-        assert "ReadLatency" in out       # csr_targets hint
-        assert "static-hint time" in out
+        assert "csr_targets: ReadLatency" in out
         assert "vs optimum" in out
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_prints_bench_archives(self, capsys, name):
+        """Each artifact prints, under each archive's path, exactly the
+        text its bench archives under ``benchmarks/results/``."""
+        assert main([name]) == 0
+        banner = f"\n{'=' * 70}\n{name}\n{'=' * 70}\n"
+        out = capsys.readouterr().out
+        assert out.startswith(banner)
+        sections = out[len(banner):].split("### benchmarks/results/")
+        assert sections[0] == "" and len(sections) == len(EXPERIMENTS[name]) + 1
+        for section in sections[1:]:
+            archive, text = section.split("\n", 1)
+            assert text == (RESULTS / archive).read_text(), archive
