@@ -1,15 +1,17 @@
-"""Steady-state allocation throughput: memoized query engine vs uncached.
+"""Steady-state allocation throughput: the allocator's memos vs uncached.
 
 The paper's ``mem_alloc(..., attribute)`` flow re-derives local targets,
 fallback chains and rankings on every call even though attribute values
-change rarely.  This bench measures what the generation-keyed query cache
-buys on the two §VI servers: ranking-queries/sec (``rank_for``) and
-allocations/sec (``mem_alloc``/``free`` pairs plus ``mem_alloc_many``
-batches), cached vs uncached, and verifies the cached answers are
-bit-identical to the uncached ones.  "Uncached" turns the query cache
-off, so every ``rank_for`` call re-ranks and every allocation rebuilds
-its allocation plan (no plan memo, no recycling pool); the placement
-route itself is the same.  Throughputs and speedups are ``wall`` rows
+change rarely.  This bench measures what the allocator's memos buy on
+the two §VI servers: the generation-keyed ``alloc_rank`` family of the
+query cache behind ``rank_for`` (ranking-queries/sec) and the
+allocation plan memo with its recycling pool (allocations/sec over
+``mem_alloc``/``free`` pairs plus ``mem_alloc_many`` batches), cached
+vs uncached, and verifies the cached answers are bit-identical to the
+uncached ones.  "Uncached" turns the query cache off, so every
+``rank_for`` call re-ranks and every allocation rebuilds its allocation
+plan (no plan memo, no recycling pool); the placement route itself is
+the same.  Throughputs and speedups are ``wall`` rows
 of ``benchmarks/results/bench_alloc_throughput.json``; the query-cache
 counters of the fixed loops are exact ``count`` rows.
 

@@ -121,10 +121,6 @@ def quick_setup(
         memattrs = native_discovery(topo)
     km = KernelMemoryManager(machine)
     allocator = HeterogeneousAllocator(memattrs, km)
-    # Tie the engine's pricing memo (and compiled-phase validity) to the
-    # attribute store's generation so degraded attrs never serve stale
-    # prices.
-    engine.bind_attrs(memattrs)
     return ReproSetup(
         machine=machine,
         topology=topo,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..core.api import MemAttrs
 from ..core.attrs import MemAttribute
-from ..core.querycache import MISSING
 from ..errors import UnknownAttributeError
 from ..obs import OBS
 
@@ -38,22 +37,12 @@ def attribute_fallback_chain(
     """The requested attribute followed by its fallbacks, resolved.
 
     Unknown names raise; custom attributes without a configured chain
-    fall back to Capacity.  Resolved chains are memoized in the
-    ``MemAttrs`` query cache (family ``"fallback_chain"``) keyed by its
-    generation, since ``register`` can extend what a chain resolves to.
+    fall back to Capacity.  Not memoized: the allocator's
+    ``"alloc_rank"`` memo holds the ranking a chain leads to.
     """
     attr = memattrs.get_by_name(
         attribute if isinstance(attribute, str) else attribute.name
     )
-    overrides_key = (
-        None
-        if overrides is None
-        else tuple(sorted((k, tuple(v)) for k, v in overrides.items()))
-    )
-    cache_key = (memattrs.generation, attr.id, overrides_key)
-    cached = memattrs.query_cache.get("fallback_chain", cache_key)
-    if cached is not MISSING:
-        return cached
     table = dict(DEFAULT_ATTRIBUTE_FALLBACK)
     if overrides:
         table.update(overrides)
@@ -69,7 +58,6 @@ def attribute_fallback_chain(
         if nxt not in chain:
             chain.append(nxt)
     resolved = tuple(chain)
-    memattrs.query_cache.store("fallback_chain", cache_key, resolved)
     if OBS.enabled:
         OBS.metrics.counter(
             "alloc.fallback_chains_resolved", attribute=attr.name

@@ -57,6 +57,9 @@ class Graph500Config:
     def __post_init__(self) -> None:
         if self.scale < 1 or self.nroots < 1 or self.threads < 1:
             raise ValidationError("scale, nroots and threads must be >= 1")
+        if self.scale > 62:
+            # The generator's vertex ids are int64.
+            raise ValidationError(f"scale must be <= 62, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ class TrafficModel:
         )
         return (
             KernelPhase(
-                name=f"bfs_scale{int(np.log2(self.num_vertices))}",
+                name=f"bfs_scale{int(self.num_vertices).bit_length() - 1}",
                 accesses=accesses,
                 threads=config.threads,
                 cpu_ops=cpu_ops,

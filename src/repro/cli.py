@@ -24,12 +24,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .alloc import HeterogeneousAllocator
 from .bench import characterize_machine, feed_attributes
 from .core import MemAttrs, discover_from_sysfs, render_cache_stats, render_memattrs
-from .core.ranking import rank_targets
 from .errors import ReproError
 from .firmware import build_sysfs
 from .hw import PLATFORM_REGISTRY, get_platform
+from .kernel import KernelMemoryManager
 from .obs.cli import add_obs_arguments, finish_obs, start_obs
 from .sim import SimEngine
 from .topology import build_topology, render_lstopo
@@ -119,12 +120,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\nMemory attributes — source: {source}")
             print(render_memattrs(memattrs))
         if args.cache_stats:
-            # Run each attribute's local ranking twice from PU 0: the first
-            # pass fills the cache, the second demonstrates the hits.
+            # Resolve each attribute's allocation ranking twice from PU 0,
+            # as mem_alloc does: the first pass fills the memo, the second
+            # shows the hits.
+            allocator = HeterogeneousAllocator(memattrs, KernelMemoryManager(machine))
             for _ in range(2):
                 for attr in memattrs.attributes():
                     try:
-                        rank_targets(memattrs, attr.name, 0)
+                        allocator.rank_for(attr.name, 0)
                     except ReproError:
                         continue
             print("\nQuery-cache statistics:")
@@ -202,41 +205,43 @@ def search_main(argv: list[str] | None = None) -> int:
 
     args = build_search_parser().parse_args(argv)
     start_obs(args)
-    machine = get_platform(args.platform)
-    engine = SimEngine(machine)
-    critical = (
-        tuple(args.critical.split(",")) if args.critical is not None else None
-    )
     try:
-        nodes = _parse_nodes(args.nodes)
-        # The config validates the scale before the model shifts by it.
-        cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
-        model = TrafficModel.analytic(args.scale)
-        phases = model.phases(cfg, per_level=args.per_level)
-        result = search_placements(
-            engine,
-            phases,
-            model.buffer_sizes(),
-            nodes,
-            default_node=nodes[0],
-            critical_buffers=critical,
-            top_k=args.top_k or None,
-            max_candidates=args.budget,
-            prune=not args.no_prune,
+        machine = get_platform(args.platform)
+        engine = SimEngine(machine)
+        critical = (
+            tuple(args.critical.split(",")) if args.critical is not None else None
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    buffers = [b for b, _ in result.candidates[0].assignment]
-    print(f"Graph500 scale {args.scale} on {args.platform}, nodes {list(nodes)}")
-    print(" | ".join(f"{b:>12}" for b in buffers) + f" | {'time':>10}")
-    for c in result.candidates:
-        row = " | ".join(f"{node:>12}" for _, node in c.assignment)
-        print(f"{row} | {c.seconds * 1e3:>8.2f}ms")
-    print()
-    print(result.stats.report())
-    finish_obs(args)
-    return 0
+        try:
+            nodes = _parse_nodes(args.nodes)
+            # The config validates the scale before the model shifts by it.
+            cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
+            model = TrafficModel.analytic(args.scale)
+            phases = model.phases(cfg, per_level=args.per_level)
+            result = search_placements(
+                engine,
+                phases,
+                model.buffer_sizes(),
+                nodes,
+                default_node=nodes[0],
+                critical_buffers=critical,
+                top_k=args.top_k or None,
+                max_candidates=args.budget,
+                prune=not args.no_prune,
+            )
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        buffers = [b for b, _ in result.candidates[0].assignment]
+        print(f"Graph500 scale {args.scale} on {args.platform}, nodes {list(nodes)}")
+        print(" | ".join(f"{b:>12}" for b in buffers) + f" | {'time':>10}")
+        for c in result.candidates:
+            row = " | ".join(f"{node:>12}" for _, node in c.assignment)
+            print(f"{row} | {c.seconds * 1e3:>8.2f}ms")
+        print()
+        print(result.stats.report())
+        return 0
+    finally:
+        finish_obs(args)
 
 
 def build_lint_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ from ..errors import (
     AttributeFlagError,
     NoTargetError,
     NoValueError,
-    TopologyError,
     UnknownAttributeError,
 )
 from ..obs import OBS
@@ -40,7 +39,7 @@ from .attrs import (
     MemAttrFlag,
     MemAttribute,
 )
-from .querycache import MISSING, QueryCache
+from .querycache import QueryCache
 
 __all__ = ["MemAttrs", "TargetValue"]
 
@@ -82,8 +81,9 @@ class MemAttrs:
         self._attrs: dict[str, MemAttribute] = {}
         self._store = _Store()
         self._next_custom_id = 64  # leave room below for future builtins
-        #: Memoized query engine; every cache key embeds :attr:`generation`
-        #: so entries recorded before a mutation can never be served after.
+        #: Memoized query engine; every value-dependent key embeds
+        #: :attr:`generation`, so entries recorded before a mutation can
+        #: never be served after.
         self.query_cache = query_cache if query_cache is not None else QueryCache()
         self._generation = 0
         for attr in BUILTIN_ATTRIBUTES:
@@ -112,9 +112,9 @@ class MemAttrs:
         self, event: str = "topology", node: int | None = None
     ) -> None:
         """The machine changed under us (node offline/online, co-tenant
-        capacity shift): bump the generation so every memoized query —
-        rankings, fallback chains, initiator matches — is invalidated
-        exactly as an attribute update would.
+        capacity shift): bump the generation so the allocator's memoized
+        rankings and plans are invalidated exactly as an attribute update
+        would.
 
         The kernel layer fires this through a topology listener
         (:meth:`repro.kernel.KernelMemoryManager.add_topology_listener`);
@@ -251,11 +251,7 @@ class MemAttrs:
         if initiator is None:
             raise AttributeFlagError(f"attribute {attr.name} needs an initiator")
         cpuset = as_cpuset(self.topology, initiator, cache=self.query_cache)
-        cache_key = (self._generation, attr.id, target.os_index, cpuset)
-        match = self.query_cache.get("match_initiator", cache_key)
-        if match is MISSING:
-            match = self._match_initiator(per_initiator, cpuset)
-            self.query_cache.store("match_initiator", cache_key, match)
+        match = self._match_initiator(per_initiator, cpuset)
         if match is None:
             raise NoValueError(
                 f"no {attr.name} value for {target.label} from initiator "
@@ -374,12 +370,6 @@ class MemAttrs:
         higher level).
         """
         attr = self._resolve(attr)
-        targets = tuple(targets)
-        cache_key = self._rank_cache_key(attr, targets, initiator)
-        if cache_key is not None:
-            cached = self.query_cache.get("rank_targets", cache_key)
-            if cached is not MISSING:
-                return cached
         scored: list[TargetValue] = []
         for target in targets:
             try:
@@ -390,34 +380,9 @@ class MemAttrs:
         scored.sort(
             key=lambda tv: (-tv.value if attr.higher_is_better else tv.value)
         )
-        ranked = tuple(scored)
-        if cache_key is not None:
-            self.query_cache.store("rank_targets", cache_key, ranked)
         if OBS.enabled:
             OBS.metrics.counter("core.rankings_computed", attribute=attr.name).inc()
-        return ranked
-
-    def _rank_cache_key(self, attr: MemAttribute, targets, initiator):
-        """Key for one ranking: (generation, attr id, target ids,
-        normalized initiator).  ``None`` when the query is malformed —
-        the uncached path then raises exactly as before."""
-        if attr.needs_initiator:
-            if initiator is None:
-                return None
-            try:
-                init_key: Bitmap | None = as_cpuset(
-                    self.topology, initiator, cache=self.query_cache
-                )
-            except TopologyError:
-                return None
-        else:
-            init_key = None
-        return (
-            self._generation,
-            attr.id,
-            tuple(id(t) for t in targets),
-            init_key,
-        )
+        return tuple(scored)
 
     # ------------------------------------------------------------------
     # internals

@@ -3,22 +3,25 @@
 The paper's ``mem_alloc(..., attribute)`` flow re-derives the same answers
 on every call — local-target discovery, attribute-fallback resolution,
 per-target ``get_value`` with a linear initiator scan, and a full re-sort
-in ``rank_targets`` — even though attribute values change rarely while
-allocations happen constantly.  :class:`QueryCache` makes the steady-state
-query path O(cache-hit):
+of the ranking — even though attribute values change rarely while
+allocations happen constantly.  :class:`QueryCache` memoizes each answer
+once, where its hot consumer reads it, so the steady-state query path is
+O(cache-hit):
 
-* Every cached answer lives in a named **family** (``"rank_targets"``,
-  ``"local_nodes"``, ``"fallback_chain"``, ...), so the observability
-  surface (:meth:`stats`) can attribute hits and misses to the query kind.
-* Keys always embed the owning :class:`~repro.core.api.MemAttrs`
+* Every cached answer lives in a named **family**, so the observability
+  surface (:meth:`stats`) can attribute hits and misses to the query
+  kind.  ``"alloc_rank"`` holds the allocator's resolved ranking per
+  request (:meth:`~repro.alloc.HeterogeneousAllocator.rank_for`);
+  :data:`TOPOLOGY_FAMILIES` hold topology facts.
+* ``"alloc_rank"`` keys embed the owning :class:`~repro.core.api.MemAttrs`
   **generation** — a counter bumped on every ``set_value``/``register``.
   A stale entry therefore can never be served: its generation no longer
   matches the key being looked up.  On top of that,
   :meth:`invalidate` drops value-dependent families eagerly so memory
   stays bounded across long value-feeding phases.
 * Families that depend only on the (immutable) topology — cpuset
-  normalization, local-target discovery — survive invalidation: their
-  answers cannot go stale.
+  normalization, local-target discovery, initiator PUs — survive
+  invalidation: their answers cannot go stale.
 
 Cached values are immutable (tuples of frozen dataclasses, ``Bitmap``\\ s)
 so sharing them between callers is safe; a cached answer is bit-identical

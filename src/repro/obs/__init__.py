@@ -41,7 +41,6 @@ from __future__ import annotations
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    CounterBatch,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -57,7 +56,6 @@ __all__ = [
     "enabled",
     "reset",
     "Counter",
-    "CounterBatch",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -87,8 +87,6 @@ def finish_obs(args: argparse.Namespace) -> None:
         dropped = ""
         if OBS.tracer.dropped_spans:
             dropped = f" ({OBS.tracer.dropped_spans} evicted by the ring)"
-        if OBS.tracer.sampled_out:
-            dropped += f" ({OBS.tracer.sampled_out} roots sampled out)"
         print(
             f"trace: {len(OBS.tracer.finished())} spans -> {args.trace}"
             f"{dropped} "

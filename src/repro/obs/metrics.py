@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Counter",
-    "CounterBatch",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -196,41 +195,6 @@ class MetricsRegistry:
                 entry.update(kind="counter", value=inst.value)  # type: ignore[union-attr]
             out.setdefault(inst.name, []).append(entry)  # type: ignore[attr-defined]
         return out
-
-
-class CounterBatch:
-    """Local accumulation of counter increments, applied in one flush.
-
-    Hot loops that would otherwise resolve and tick the same counters per
-    iteration accumulate into a plain dict (one hash per ``inc``) and
-    apply the sums in a single registry pass::
-
-        batch = CounterBatch(OBS.metrics)
-        for item in work:
-            batch.inc("search.leaves_priced")
-        batch.flush()
-
-    ``flush`` is idempotent (the accumulator empties); a batch may be
-    reused afterwards.  Not flushing loses the increments — use it where
-    there is a natural end-of-loop flush point.
-    """
-
-    __slots__ = ("_registry", "_acc")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._acc: dict[tuple[str, LabelKey], float] = {}
-
-    def inc(self, name: str, amount: float = 1.0, **labels) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {name} cannot decrease (inc {amount})")
-        key = (name, _label_key(labels))
-        self._acc[key] = self._acc.get(key, 0.0) + amount
-
-    def flush(self) -> None:
-        acc, self._acc = self._acc, {}
-        for (name, labels), amount in acc.items():
-            self._registry._get(Counter, name, dict(labels)).inc(amount)
 
 
 def _prom_name(name: str) -> str:

@@ -80,41 +80,11 @@ class _SpanContext:
         return False  # never swallow
 
 
-class _SuppressedSpan:
-    """Context manager returned for sampled-out span trees.
-
-    One instance per tracer; entering hands back a shared throwaway
-    record (callers may still ``fields.update`` it — the writes are
-    discarded), and exits keep the tracer's suppression depth balanced
-    even when the body raises.
-    """
-
-    __slots__ = ("_tracer", "_record")
-
-    def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-        self._record = SpanRecord(
-            span_id=0, name="<sampled-out>", start=0.0, parent_id=None, depth=0
-        )
-
-    def __enter__(self) -> SpanRecord:
-        return self._record
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer._suppress -= 1
-        return False  # never swallow
-
-
 class Tracer:
     """Records nested spans; single stack per tracer.
 
     A tracer is cheap to construct, and :func:`repro.obs.reset` swaps in
     a fresh one — spans therefore never leak between tests.
-
-    ``sample_every=N`` keeps only every N-th *root* span tree: the
-    sampling decision is taken once at the root, and the whole tree is
-    either recorded or suppressed (all-or-nothing, so recorded traces
-    stay well-nested); ``sampled_out`` counts suppressed roots.
 
     ``ring_capacity=C`` swaps the unbounded span list for a preallocated
     ring (a ``deque(maxlen=C)``): appending past capacity evicts the
@@ -123,44 +93,21 @@ class Tracer:
     evictions.
     """
 
-    def __init__(
-        self,
-        clock=None,
-        *,
-        sample_every: int = 1,
-        ring_capacity: int | None = None,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, clock=None, *, ring_capacity: int | None = None) -> None:
         if ring_capacity is not None and ring_capacity < 1:
             raise ValueError("ring_capacity must be >= 1")
         self.clock = clock if clock is not None else time.perf_counter
-        self.sample_every = sample_every
         self.ring_capacity = ring_capacity
         self.records: list[SpanRecord] | deque[SpanRecord] = (
             [] if ring_capacity is None else deque(maxlen=ring_capacity)
         )
         self.dropped_spans = 0
-        self.sampled_out = 0
         self._stack: list[SpanRecord] = []
         self._next_id = 1
-        self._root_tick = 0
-        self._suppress = 0
-        self._null_span = _SuppressedSpan(self)
 
     # ------------------------------------------------------------------
     def span(self, name: str, **fields):
         """Open a span; use as a context manager."""
-        if self._suppress:
-            self._suppress += 1
-            return self._null_span
-        if not self._stack and self.sample_every > 1:
-            tick = self._root_tick
-            self._root_tick = tick + 1
-            if tick % self.sample_every:
-                self.sampled_out += 1
-                self._suppress = 1
-                return self._null_span
         parent = self._stack[-1] if self._stack else None
         record = SpanRecord(
             span_id=self._next_id,

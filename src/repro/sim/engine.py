@@ -125,11 +125,7 @@ class SimEngine:
     """Prices phases against one machine."""
 
     def __init__(
-        self,
-        machine: MachineSpec,
-        topology: Topology | None = None,
-        *,
-        attrs=None,
+        self, machine: MachineSpec, topology: Topology | None = None
     ) -> None:
         self.machine = machine
         self.topology = topology or build_topology(machine)
@@ -137,50 +133,11 @@ class SimEngine:
             n.os_index: n for n in machine.numa_nodes()
         }
         # (node, pus) -> locality-blended (latency, read bw, write bw).
-        # Pure in the immutable machine spec; entries are valid for one
-        # MemAttrs generation (the watermark below) and evicted wholesale
-        # when the generation moves, so a degraded/regenerated attribute
-        # store can never serve stale blends.  Unbound engines (attrs is
-        # None) keep generation 0 forever — the PR 2 behaviour.
+        # Pure in the frozen machine spec, so entries never go stale:
+        # attribute updates and topology events leave them valid.
         self._blend_memo: dict[
             tuple[int, tuple[int, ...]], tuple[float, float, float]
         ] = {}
-        self._attrs = None
-        self._memo_generation = 0
-        self._memo_evictions = 0
-        if attrs is not None:
-            self.bind_attrs(attrs)
-
-    # ------------------------------------------------------------------
-    # generation-keyed memo maintenance
-    # ------------------------------------------------------------------
-    def bind_attrs(self, attrs) -> None:
-        """Tie memo validity to a :class:`~repro.core.api.MemAttrs` store.
-
-        Every pricing entry point then checks the store's generation and
-        evicts all memoized blends when it moved — e.g. after
-        ``degrade_target`` or a topology event.
-        """
-        self._attrs = attrs
-        self._sync_generation()
-
-    def _sync_generation(self) -> int:
-        attrs = self._attrs
-        if attrs is not None:
-            generation = attrs.generation
-            if generation != self._memo_generation:
-                self._memo_evictions += len(self._blend_memo)
-                self._blend_memo.clear()
-                self._memo_generation = generation
-        return self._memo_generation
-
-    def memo_stats(self) -> dict[str, int]:
-        """Memo accounting: current generation, live entries, evictions."""
-        return {
-            "generation": self._memo_generation,
-            "blend_entries": len(self._blend_memo),
-            "evictions": self._memo_evictions,
-        }
 
     # ------------------------------------------------------------------
     def prepare_phase(
@@ -230,7 +187,6 @@ class SimEngine:
         self, prepared: PreparedPhase, placement: Placement
     ) -> PhaseTiming:
         """Price a :class:`PreparedPhase` under one placement."""
-        self._sync_generation()
         if OBS.enabled:
             OBS.metrics.counter("sim.pricings").inc()
         phase = prepared.phase
@@ -337,7 +293,6 @@ class SimEngine:
         placement — the building block of the placement search's
         branch-and-bound (docs/MODEL.md §7).
         """
-        self._sync_generation()
         access, filtered = prepared.filtered[index]
         pus = prepared.pus
         threads = prepared.phase.threads

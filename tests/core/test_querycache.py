@@ -2,15 +2,16 @@
 
 Covers the memoized attribute-query engine — generation-based
 invalidation on ``set_value``/``register``, hit/miss/invalidation
-accounting, deterministic initiator matching, and the cached hot paths
-(``rank_targets``, ``get_local_numanode_objs``, fallback chains,
-``rank_for``) agreeing bit-for-bit with the uncached computation.
+accounting, deterministic initiator matching, one memo per answer, and
+the query surfaces (``rank_targets``, ``get_local_numanode_objs``,
+fallback chains, ``rank_for``) agreeing bit-for-bit with a cache-disabled
+twin.
 """
 
 import pytest
 
 from repro.alloc import HeterogeneousAllocator, attribute_fallback_chain
-from repro.core import BANDWIDTH, LATENCY, MemAttrFlag, MemAttrs, QueryCache
+from repro.core import BANDWIDTH, MemAttrFlag, MemAttrs, QueryCache
 from repro.core.querycache import MISSING, TOPOLOGY_FAMILIES
 from repro.core.ranking import rank_targets
 from repro.kernel import KernelMemoryManager
@@ -49,10 +50,10 @@ class TestQueryCacheStore:
         cache = QueryCache()
         topo_family = next(iter(TOPOLOGY_FAMILIES))
         cache.store(topo_family, "k", 1)
-        cache.store("rank_targets", "k", 2)
+        cache.store("alloc_rank", "k", 2)
         cache.invalidate()
         assert cache.get(topo_family, "k") == 1
-        assert cache.get("rank_targets", "k") is MISSING
+        assert cache.get("alloc_rank", "k") is MISSING
         assert cache.invalidations == 1
 
     def test_fifo_eviction_bounds_entries(self):
@@ -112,16 +113,37 @@ class TestGenerationInvalidation:
 
 
 class TestCounters:
-    def test_rank_hit_miss_accounting(self, xeon_attrs, xeon_topo):
+    def test_rank_hit_miss_accounting(self, xeon_allocator):
+        xeon_attrs = xeon_allocator.memattrs
         xeon_attrs.query_cache.clear()
-        nodes = xeon_topo.numanodes()
-        xeon_attrs.rank_targets(LATENCY, nodes, 0)
-        misses = xeon_attrs.cache_stats()["families"]["rank_targets"]["misses"]
+        xeon_allocator.rank_for("Latency", 0)
+        misses = xeon_attrs.cache_stats()["families"]["alloc_rank"]["misses"]
         assert misses == 1
-        xeon_attrs.rank_targets(LATENCY, nodes, 0)
-        fam = xeon_attrs.cache_stats()["families"]["rank_targets"]
+        xeon_allocator.rank_for("Latency", 0)
+        fam = xeon_attrs.cache_stats()["families"]["alloc_rank"]
         assert fam["hits"] == 1 and fam["misses"] == 1
         assert fam["entries"] == 1
+
+    def test_one_memo_per_answer(self, xeon_allocator):
+        """Rankings, initiator matches and fallback chains are memoized
+        only as the allocator's ``alloc_rank`` answer."""
+        memattrs = xeon_allocator.memattrs
+        node = memattrs.topology.numanode_by_os_index(0)
+        for attr in ("Bandwidth", "Latency", "Capacity", "ReadBandwidth"):
+            for scope in ("local", "machine"):
+                xeon_allocator.rank_for(attr, 0, scope=scope)
+            xeon_allocator.free(xeon_allocator.mem_alloc(1 << 20, attr, 0))
+            if memattrs.has_values(attr):
+                memattrs.get_best_target(attr, 0)
+                rank_targets(memattrs, attr, 0, tie_attr="Capacity",
+                             tie_tolerance=0.1)
+            attribute_fallback_chain(memattrs, attr)
+        memattrs.set_value(BANDWIDTH, node, 0, 1e9)
+        assert memattrs.get_value(BANDWIDTH, node, 0) == 1e9
+        xeon_allocator.rank_for("Bandwidth", 0)
+        assert set(memattrs.cache_stats()["families"]) == {
+            "alloc_rank", "as_cpuset", "local_nodes", "initiator_pus"
+        }
 
     def test_invalidation_counter(self, xeon_attrs, xeon_topo):
         node = xeon_topo.numanode_by_os_index(0)

@@ -426,7 +426,7 @@ class TestPriceGuidance:
 
         topo = build_topology(knl)
         attrs = MemAttrs(topo)
-        engine = SimEngine(knl, topo, attrs=attrs)
+        engine = SimEngine(knl, topo)
         kern = KernelMemoryManager(knl)
         cfg = TierConfig(fast_nodes=(4,), slow_nodes=(0,))
         d = AutoTierDaemon(kern, cfg, engine=engine)
@@ -435,8 +435,8 @@ class TestPriceGuidance:
         d.set_phase(self._phase(hot=64 * GB))
         d.observe({"hot": 8 * GB})
         assert d.step().promoted == ["hot"]
-        # Move the attribute generation: the next step prices under the
-        # new attribute values, on the phase prepared before the bump.
+        # Move the attribute generation: pricing reads only the machine,
+        # so the next step prices on the phase prepared before the bump.
         node = topo.numanodes()[0]
         attrs.set_value("Bandwidth", node, (0,), 1e9)
         kern.migrate(hot, 0)  # push it back out of the fast tier

@@ -1,6 +1,7 @@
-"""Ring-buffer and sampling invariants of the low-overhead tracer.
+"""Ring-buffer and sampling invariants of low-overhead telemetry.
 
-Property suite for the sampled/bounded span store:
+Property suite for the bounded span store and the ``mem_alloc``
+sampling gate:
 
 * **ring accounting** — for random span trees and any capacity ``C``,
   the store retains exactly ``min(total, C)`` records and counts exactly
@@ -8,13 +9,12 @@ Property suite for the sampled/bounded span store:
 * **well-nesting survives the wrap** — evicting whole records (never
   truncating one) keeps every retained pair of finished spans pairwise
   disjoint-or-nested;
-* **root sampling is all-or-nothing** — a 1/N decision taken once per
-  root tree records either the whole tree or none of it (children of a
-  sampled-out root can never orphan into the store), keeps the first
-  root, and balances its suppression depth even when bodies raise;
-* **CounterBatch** — locally accumulated increments flush to exactly the
-  per-``inc`` totals per labeled series, reject negative amounts, and
-  flush idempotently.
+* **request sampling is all-or-nothing** — with
+  ``obs.enable(sample_every=N)`` every N-th ``mem_alloc`` request,
+  starting with the first, records its ``mem_alloc`` span together with
+  its per-request ``alloc.*`` metrics, the others record neither, the
+  countdown stays in step when a request raises, and every other span is
+  recorded in full (so no recorded span loses its parent).
 """
 
 import math
@@ -22,8 +22,11 @@ import random
 
 import pytest
 
-from repro.obs.metrics import CounterBatch, MetricsRegistry
+from repro import obs
+from repro.errors import AllocationError
+from repro.obs import OBS
 from repro.obs.tracer import Tracer
+from repro.units import MB
 
 
 class Ticker:
@@ -106,108 +109,105 @@ class TestRingBuffer:
             Tracer(ring_capacity=0)
 
 
+def _alloc_spans():
+    return [r for r in OBS.tracer.records if r.name == "mem_alloc"]
+
+
+def _total(metric: str, key: str = "value") -> float:
+    return sum(e[key] for e in OBS.metrics.as_dict().get(metric, ()))
+
+
 class TestRootSampling:
+    """``obs.enable(sample_every=N)`` samples ``mem_alloc`` requests."""
+
     @pytest.mark.parametrize("sample_every", (2, 3, 7))
     @pytest.mark.parametrize("n_roots", (1, 5, 20))
     def test_keeps_every_nth_root_starting_with_the_first(
-        self, sample_every, n_roots
+        self, xeon_allocator, sample_every, n_roots
     ):
-        tracer = Tracer(clock=Ticker(), sample_every=sample_every)
+        obs.enable(clock=Ticker(), sample_every=sample_every)
         for i in range(n_roots):
-            with tracer.span(f"root{i}"):
-                with tracer.span("child"):
-                    pass
+            xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name=f"root{i}")
         kept = math.ceil(n_roots / sample_every)
-        roots = [r for r in tracer.records if r.parent_id is None]
-        assert [r.name for r in roots] == [
+        assert [r.fields["buffer"] for r in _alloc_spans()] == [
             f"root{i}" for i in range(0, n_roots, sample_every)
         ]
-        assert len(roots) == kept
-        assert tracer.sampled_out == n_roots - kept
+        assert OBS.metrics.value("alloc.requests", attribute="Bandwidth") == kept
+        assert len(xeon_allocator.buffers) == n_roots
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_all_or_nothing_no_orphan_children(self, seed):
+    def test_all_or_nothing_no_orphan_children(self, xeon_allocator, seed):
         rng = random.Random(2000 + seed)
-        tracer = Tracer(clock=Ticker(), sample_every=rng.randint(2, 5))
-        roots = random_walk(tracer, rng, rng.randint(5, 40))
-        # Every recorded child's parent is itself recorded: a sampled-out
-        # root suppresses its whole tree.
-        ids = {r.span_id for r in tracer.records}
-        for r in tracer.records:
+        every = rng.randint(2, 5)
+        obs.enable(clock=Ticker(), sample_every=every)
+        placed: list[str] = []   # buffer name of each request, in order
+        live = []
+        app_spans = []
+        opened = 0
+        for _ in range(rng.randint(5, 40)):
+            roll = rng.random()
+            if roll < 0.15:
+                ctx = OBS.tracer.span("app")
+                ctx.__enter__()
+                app_spans.append(ctx)
+                opened += 1
+            elif roll < 0.3 and app_spans:
+                app_spans.pop().__exit__(None, None, None)
+            elif roll < 0.45 and live:
+                xeon_allocator.free(live.pop(rng.randrange(len(live))))
+            else:
+                buf = xeon_allocator.mem_alloc(
+                    rng.choice((MB, 2 * MB)),
+                    rng.choice(("Bandwidth", "Latency", "Capacity")),
+                    0,
+                )
+                placed.append(buf.name)
+                live.append(buf)
+        while app_spans:
+            app_spans.pop().__exit__(None, None, None)
+        kept = placed[::every]
+        # The sampled-in requests record span and metrics together...
+        assert [r.fields["buffer"] for r in _alloc_spans()] == kept
+        assert _total("alloc.requests") == len(kept)
+        assert _total("alloc.placed") == len(kept)
+        assert _total("alloc.fallback_rank", "count") == len(kept)
+        # ...and every other span is recorded, so none is orphaned.
+        assert sum(r.name == "app" for r in OBS.tracer.records) == opened
+        ids = {r.span_id for r in OBS.tracer.records}
+        for r in OBS.tracer.records:
             if r.parent_id is not None:
                 assert r.parent_id in ids
-        kept_roots = [r for r in tracer.records if r.parent_id is None]
-        assert len(kept_roots) + tracer.sampled_out == roots
-        assert tracer._suppress == 0
-        assert tracer.open_spans == ()
-        assert_well_nested(tracer.records)
+        assert OBS.tracer.open_spans == ()
+        assert_well_nested(OBS.tracer.records)
 
-    def test_suppression_balances_across_exceptions(self):
-        tracer = Tracer(clock=Ticker(), sample_every=2)
-        with tracer.span("kept"):
-            pass
-        with pytest.raises(RuntimeError):
-            with tracer.span("dropped"):          # tick 1: sampled out
-                with tracer.span("dropped-child"):
-                    raise RuntimeError("boom")
-        assert tracer._suppress == 0
-        with tracer.span("kept-again"):           # tick 2: recorded
-            pass
-        assert [r.name for r in tracer.records] == ["kept", "kept-again"]
-        assert tracer.sampled_out == 1
+    def test_suppression_balances_across_exceptions(self, xeon_allocator):
+        obs.enable(clock=Ticker(), sample_every=2)
+        xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name="kept")    # 0: in
+        with pytest.raises(AllocationError):
+            xeon_allocator.mem_alloc(0, "Bandwidth", 0)               # 1: out
+        with pytest.raises(AllocationError):
+            xeon_allocator.mem_alloc(0, "Bandwidth", 0)               # 2: in
+        xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name="dropped")  # 3: out
+        xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name="kept-again")
+        spans = _alloc_spans()
+        assert [r.status for r in spans] == ["ok", "error", "ok"]
+        assert [r.fields.get("buffer") for r in spans] == [
+            "kept", None, "kept-again"
+        ]
+        assert OBS.tracer.open_spans == ()
 
-    def test_sampling_composes_with_the_ring(self):
-        tracer = Tracer(clock=Ticker(), sample_every=2, ring_capacity=3)
+    def test_sampling_composes_with_the_ring(self, xeon_allocator):
+        obs.enable(clock=Ticker(), sample_every=2, ring_capacity=3)
         for i in range(10):
-            with tracer.span(f"root{i}"):
-                pass
-        # 5 roots recorded (ticks 0,2,4,6,8), ring keeps the last 3.
-        assert [r.name for r in tracer.records] == ["root4", "root6", "root8"]
-        assert tracer.sampled_out == 5
-        assert tracer.dropped_spans == 2
+            xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name=f"root{i}")
+        # 5 requests recorded (0, 2, 4, 6, 8), the ring keeps the last 3.
+        assert [r.fields["buffer"] for r in OBS.tracer.records] == [
+            "root4", "root6", "root8"
+        ]
+        assert OBS.tracer.dropped_spans == 2
+        assert OBS.metrics.value("alloc.requests", attribute="Bandwidth") == 5
 
     def test_sample_every_validated(self):
         with pytest.raises(ValueError):
-            Tracer(sample_every=0)
-
-
-class TestCounterBatch:
-    def test_flush_applies_exact_sums_per_series(self):
-        reg = MetricsRegistry()
-        batch = CounterBatch(reg)
-        rng = random.Random(7)
-        expect: dict = {}
-        for _ in range(200):
-            name = rng.choice(("a", "b"))
-            node = rng.choice((0, 1, None))
-            amount = rng.randint(1, 5)
-            labels = {} if node is None else {"node": node}
-            batch.inc(name, amount, **labels)
-            key = (name, node)
-            expect[key] = expect.get(key, 0) + amount
-        batch.flush()
-        for (name, node), total in expect.items():
-            labels = {} if node is None else {"node": node}
-            assert reg.value(name, **labels) == total
-
-    def test_negative_increment_rejected(self):
-        batch = CounterBatch(MetricsRegistry())
-        with pytest.raises(ValueError):
-            batch.inc("x", -1)
-
-    def test_flush_is_idempotent_and_batch_reusable(self):
-        reg = MetricsRegistry()
-        batch = CounterBatch(reg)
-        batch.inc("x", 3)
-        batch.flush()
-        batch.flush()                 # empty accumulator: no double count
-        assert reg.value("x") == 3
-        batch.inc("x", 2)             # reuse after flush
-        batch.flush()
-        assert reg.value("x") == 5
-
-    def test_unflushed_increments_stay_local(self):
-        reg = MetricsRegistry()
-        batch = CounterBatch(reg)
-        batch.inc("x")
-        assert reg.value("x") == 0.0
+            obs.enable(sample_every=0)
+        assert not OBS.enabled

@@ -32,7 +32,6 @@ def _cpu_mlp(pattern: PatternKind) -> float:
 
 def price_prepared(engine, prepared, placement) -> PhaseTiming:
     """``engine.price_prepared(prepared, placement)``, frozen."""
-    engine._sync_generation()
     phase = prepared.phase
     pus = prepared.pus
     threads = phase.threads
@@ -119,7 +118,6 @@ def price_access_alone(engine, prepared, index, node) -> tuple[float, float]:
     Returns ``(latency_seconds, bandwidth_seconds)``: the access keeps
     its real cache share while ``node`` sees only its working set.
     """
-    engine._sync_generation()
     access, filtered = prepared.filtered[index]
     pus = prepared.pus
     threads = prepared.phase.threads

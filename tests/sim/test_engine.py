@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import native_discovery
+from repro import quick_setup
 from repro.errors import SimulationError
-from repro.hw.platforms import xeon_cascadelake_1lm
 from repro.sim import (
     BufferAccess,
     KernelPhase,
@@ -12,7 +11,6 @@ from repro.sim import (
     Placement,
     SimEngine,
 )
-from repro.topology import build_topology
 from repro.units import GB, GiB, MiB
 
 
@@ -295,44 +293,34 @@ class TestBatchPricing:
         assert (2, pus) in xeon_engine._blend_memo
 
 
-class TestGenerationMemo:
-    """Degraded attrs must never serve stale blends."""
+class TestMachineOnlyMemo:
+    """The blend memo depends on the frozen machine alone."""
 
-    @staticmethod
-    def _phase():
-        return KernelPhase(
-            name="p", threads=4,
+    def test_attribute_updates_leave_prices_unchanged(self):
+        setup = quick_setup("knl-snc4-flat")
+        phase = KernelPhase(
+            name="p", threads=64,
             accesses=(
                 BufferAccess(
                     buffer="a", pattern=PatternKind.STREAM,
-                    bytes_read=GB, working_set=GB,
+                    bytes_read=GB, bytes_written=GB, working_set=GB,
+                ),
+                BufferAccess(
+                    buffer="b", pattern=PatternKind.RANDOM,
+                    bytes_read=GB, working_set=4 * GB, granularity=8,
                 ),
             ),
         )
-
-    def test_blend_memo_evicted_on_generation_bump(self):
-        machine = xeon_cascadelake_1lm()
-        topo = build_topology(machine)
-        attrs = native_discovery(topo)
-        engine = SimEngine(machine, topo, attrs=attrs)
-        node = min(engine._nodes)
-        engine.price_phase(self._phase(), Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["blend_entries"] > 0
-        assert stats["evictions"] == 0
-
-        target = topo.numanodes()[0]
-        assert attrs.degrade_target("Bandwidth", target, 0.5) > 0
-        engine.price_phase(self._phase(), Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["generation"] == attrs.generation
-        assert stats["evictions"] > 0
-
-    def test_unbound_engine_never_evicts(self):
-        engine = SimEngine(xeon_cascadelake_1lm())
-        node = min(engine._nodes)
-        for _ in range(3):
-            engine.price_phase(self._phase(), Placement.single(a=node))
-        stats = engine.memo_stats()
-        assert stats["generation"] == 0
-        assert stats["evictions"] == 0
+        placement = Placement.single(a=4, b=0)
+        pus = tuple(range(64))
+        before = setup.engine.price_phase(phase, placement, pus=pus)
+        generation = setup.memattrs.generation
+        node = setup.topology.numanode_by_os_index(4)
+        assert setup.memattrs.degrade_target("Bandwidth", node, 0.5) > 0
+        setup.memattrs.set_value("Latency", node, (0,), 1.0)
+        assert setup.memattrs.generation == generation + 2
+        after = setup.engine.price_phase(phase, placement, pus=pus)
+        assert after == before
+        assert after.node_traffic == before.node_traffic
+        assert after.buffer_timings == before.buffer_timings
+        assert SimEngine(setup.machine).price_phase(phase, placement, pus=pus) == before

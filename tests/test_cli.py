@@ -50,6 +50,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "/sys/devices/system/node" in out
 
+    def test_cache_stats_shows_the_allocator_memo(self, capsys):
+        assert main(["--platform", "xeon-cascadelake-1lm", "--cache-stats"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("Query-cache statistics:"):].splitlines()
+        assert table[-3].startswith("total")
+        rows = {line.split()[0]: line.split()[1:] for line in table[2:-3]}
+        assert int(rows["alloc_rank"][0]) > 0  # hits
+        assert set(rows) <= {"alloc_rank", "as_cpuset", "local_nodes",
+                             "initiator_pus"}
+
 
 class TestSearchCli:
     def test_parser_defaults(self):
@@ -83,6 +93,12 @@ class TestSearchCli:
     def test_search_unknown_critical_fails(self, capsys):
         assert search_main(["--critical", "nonesuch"]) == 1
         assert "critical buffers not in phases" in capsys.readouterr().err
+
+    def test_search_failure_still_writes_metrics(self, capsys):
+        assert search_main(["--critical", "nonesuch", "--metrics", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "\nmetrics:\n" in captured.out
 
     def test_search_duplicate_nodes_fail(self, capsys):
         assert search_main(["--nodes", "0,0,2", "--top-k", "4"]) == 1
@@ -124,9 +140,11 @@ class TestSearchCli:
             ["--scale", "0"],
             ["--scale", "-5"],
             ["--threads", "0"],
+            ["--scale", "64"],
+            ["--scale", "2000"],
         ],
         ids=["nodes-not-numbers", "nodes-empty", "scale-0", "scale-negative",
-             "threads-0"],
+             "threads-0", "scale-64", "scale-2000"],
     )
     def test_search_malformed_input_fails(self, capsys, argv):
         """Bad input is an ``error:`` line and exit 1, never a traceback."""
