@@ -5,7 +5,7 @@ loop through the in-process submit path (the same admission/commit path
 the socket front end uses), and closes.  All clients start at once, so
 this is a closed burst: it measures sustained requests/second and the
 commit coalescing factor (requests per single-writer wake-up) — the
-number that shows the commit loop draining concurrent arrivals
+number that shows each commit draining concurrent arrivals
 together.  A request's time in such a burst is mostly queueing, so the
 bench reports no per-request latency; the repo benchmark
 (``benchmarks/e2e``) drives the daemon open-loop at fixed rates for
@@ -101,5 +101,5 @@ def test_serve_many_tenants(record, ledger, xeon_setup):
         f"requests per single-writer wake-up",
     )
     # Concurrency must put several requests in one commit, else the
-    # commit loop silently stopped draining concurrent arrivals together.
+    # commit silently stopped draining concurrent arrivals together.
     assert commit_size > 1.0

@@ -13,9 +13,10 @@ What the daemon adds on top of the allocator stack:
 * **Admission control** — a bounded pending window; overflow requests
   are rejected with typed events, never silently dropped or queued
   unboundedly.
-* **One writer** — a single commit task drains whatever arrived
-  concurrently and applies each request in order through the same
-  allocator route a lone ``mem_alloc`` takes.
+* **One writer** — one ``loop.call_soon`` commit per wake-up drains
+  whatever arrived concurrently and applies each request in order
+  through the same allocator route a lone ``mem_alloc`` takes; no
+  request gets a task of its own.
 * **Determinism** — a sequenced server commits in schedule order behind
   a single writer, so concurrent replays are bit-identical to serial
   ones (``repro-serve --selftest`` proves it; so does the 100-seed sweep

@@ -1,10 +1,10 @@
 """Request ordering for the commit stage.
 
 :class:`Sequencer` is a reorder buffer releasing requests in dense
-global ``seq`` order.  With it, the single-writer commit loop applies
-kernel mutations in schedule order *no matter how tenants' submissions
-interleave*, which is what makes a concurrent run bit-identical to a
-serial replay of the same schedule.
+global ``seq`` order.  With it, the server's single-writer commit stage
+applies kernel mutations in schedule order *no matter how tenants'
+submissions interleave*, which is what makes a concurrent run
+bit-identical to a serial replay of the same schedule.
 
 It is synchronous and allocation-free so the hypothesis suite can
 hammer it directly (``tests/serve/test_properties.py``).

@@ -9,10 +9,11 @@ Examples::
     repro-serve --host 127.0.0.1 --port 7700     # serve NDJSON over TCP
 
 The selftest is the daemon's determinism contract made executable: a
-seeded multi-tenant schedule is replayed serially and concurrently (two
-different arrival interleavings) on fresh stacks, and final kernel page
-maps, quota ledgers, typed-event logs, and every response must match
-bit-for-bit (see ``docs/SERVE.md``).
+seeded multi-tenant schedule is replayed serially, concurrently (two
+different arrival interleavings) and over a loopback NDJSON connection
+per tenant, each on a fresh stack, and final kernel page maps, quota
+ledgers, typed-event logs, and every response must match bit-for-bit
+(see ``docs/SERVE.md``).
 """
 
 from __future__ import annotations

@@ -85,6 +85,10 @@ ERROR_CODES = frozenset(
 )
 
 
+#: The one canonical encoder: compact separators, sorted keys.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 @dataclass(frozen=True)
 class Request:
     """One decoded client request."""
@@ -121,7 +125,7 @@ def encode_request(request: Request) -> bytes:
         body["seq"] = request.seq
     if request.payload:
         body["payload"] = request.payload
-    return (json.dumps(body, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return (_ENCODER.encode(body) + "\n").encode()
 
 
 def decode_request(line: bytes | str) -> Request:
@@ -132,10 +136,11 @@ def decode_request(line: bytes | str) -> Request:
     verb, missing payload fields) are left to the server so they come
     back as typed error responses instead of dropped connections.
     """
-    text = line.decode() if isinstance(line, bytes) else line
     try:
+        text = line.decode() if isinstance(line, bytes) else line
         body = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # Bad UTF-8, bad JSON, or nesting too deep for the decoder.
         raise ProtocolError(f"request is not valid JSON: {err}") from None
     if not isinstance(body, dict):
         raise ProtocolError("request must be a JSON object")
@@ -172,7 +177,7 @@ def encode_response(response: Response) -> bytes:
         body["error"] = response.error
     if response.message:
         body["message"] = response.message
-    return (json.dumps(body, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return (_ENCODER.encode(body) + "\n").encode()
 
 
 def decode_response(line: bytes | str) -> Response:

@@ -2,19 +2,24 @@
 
 This module is the daemon's correctness harness — and its selftest.  A
 *schedule* is a list of protocol :class:`~.protocol.Request`\\ s carrying
-dense global ``seq`` numbers.  The same schedule can be applied two ways:
+dense global ``seq`` numbers.  The same schedule can be applied three
+ways:
 
 * :func:`run_serial` — one :class:`~.server.ServeCore`, every request
   through the sequential reference path, in ``seq`` order.
 * :func:`run_concurrent` — a sequenced :class:`~.server.ReproServeServer`
   with one asyncio task per tenant, submissions jittered by a seeded
   interleaving so arrival order differs from ``seq`` order.
+* :func:`run_stream` — the sequenced server behind a loopback
+  :class:`~.server.StreamServer`, one :class:`~.server.StreamServeClient`
+  per tenant, over the wire.
 
 :func:`state_signature`, :func:`event_signature` and
-:func:`response_signature` capture everything externally visible; the
-determinism contract is that both replays produce **equal signatures**
-for every (schedule seed, interleave seed) pair.  ``repro-serve
---selftest`` runs exactly this comparison.
+:func:`response_signature` capture everything externally visible
+(:func:`signatures` takes all of them at once); the determinism contract
+is that every replay produces **equal signatures** for every (schedule
+seed, interleave seed) pair.  ``repro-serve --selftest`` runs exactly
+this comparison.
 """
 
 from __future__ import annotations
@@ -22,21 +27,25 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..alloc.allocator import HeterogeneousAllocator
 from ..resilience.chaos import check_invariants
-from .protocol import Request, Response
-from .server import ReproServeServer, ServeCore
+from .protocol import Request, Response, decode_response, encode_response
+from .server import ReproServeServer, ServeCore, StreamServeClient, StreamServer
 
 __all__ = [
     "RunOutcome",
+    "Signatures",
     "event_signature",
+    "over_the_wire",
     "response_signature",
     "run_concurrent",
     "run_serial",
+    "run_stream",
     "seeded_schedule",
     "selftest",
+    "signatures",
     "state_signature",
 ]
 
@@ -233,6 +242,55 @@ def run_concurrent(
     return asyncio.run(_run())
 
 
+def run_stream(
+    allocator: HeterogeneousAllocator, schedule: list[Request]
+) -> Signatures:
+    """Replay over loopback TCP.
+
+    A sequenced server sits behind a :class:`StreamServer`; each tenant
+    has its own :class:`StreamServeClient` connection and pipelines its
+    whole share of the schedule, so lines arrive in batches and answers
+    come back as they commit.  Responses are as the clients decoded
+    them.  A connection that hangs up closes the tenants it owns, so the
+    signatures are taken before the clients disconnect.
+    """
+    by_tenant: dict[str, list[Request]] = {}
+    for request in schedule:
+        by_tenant.setdefault(request.tenant, []).append(request)
+
+    async def _run() -> Signatures:
+        server = ReproServeServer(allocator, sequenced=True)
+        stream = StreamServer(server)
+        responses: dict[int, Response] = {}
+
+        async def tenant_ops(client: StreamServeClient, ops: list[Request]) -> None:
+            replies = await asyncio.gather(
+                *(client.request(r.verb, r.payload, seq=r.seq) for r in ops)
+            )
+            for request, reply in zip(ops, replies):
+                assert request.seq is not None
+                responses[request.seq] = reply
+
+        async with server:
+            host, port = await stream.start()
+            clients = {
+                tenant: await StreamServeClient.connect(host, port, tenant)
+                for tenant in sorted(by_tenant)
+            }
+            try:
+                await asyncio.gather(
+                    *(tenant_ops(clients[t], ops) for t, ops in by_tenant.items())
+                )
+                taken = signatures(server.core, responses)
+            finally:
+                for client in clients.values():
+                    await client.aclose()
+                await stream.stop()
+        return taken
+
+    return asyncio.run(_run())
+
+
 # ----------------------------------------------------------------------
 # signatures
 # ----------------------------------------------------------------------
@@ -298,6 +356,33 @@ def response_signature(responses: dict[int, Response]) -> list[tuple]:
     ]
 
 
+def over_the_wire(responses: dict[int, Response]) -> dict[int, Response]:
+    """Responses as a stream client decodes them (JSON keys and lists)."""
+    return {
+        seq: decode_response(encode_response(response))
+        for seq, response in responses.items()
+    }
+
+
+class Signatures(NamedTuple):
+    """Everything a replay is compared on, taken at one moment."""
+
+    state: dict[str, Any]
+    events: list[tuple[str, str, str]]
+    responses: list[tuple]
+    violations: tuple[str, ...]
+
+
+def signatures(core: ServeCore, responses: dict[int, Response]) -> Signatures:
+    """All four signatures of ``core`` and ``responses`` as they are now."""
+    return Signatures(
+        state=state_signature(core),
+        events=event_signature(core),
+        responses=response_signature(responses),
+        violations=check_invariants(core.kernel, core.allocator),
+    )
+
+
 # ----------------------------------------------------------------------
 # selftest
 # ----------------------------------------------------------------------
@@ -312,10 +397,11 @@ def selftest(
     """Prove one seeded schedule deterministic under concurrency.
 
     Runs the schedule serially on a fresh stack, then concurrently (once
-    per interleave seed) on equally fresh stacks, and compares state,
-    event, and response signatures; kernel invariants are checked on
-    every replica.  Returns a report dict with ``ok`` plus per-check
-    booleans — the CLI turns it into an exit code.
+    per interleave seed) and over loopback TCP (:func:`run_stream`) on
+    equally fresh stacks, and compares state, event, and response
+    signatures; kernel invariants are checked on every replica.  Returns
+    a report dict with ``ok`` plus per-check booleans — the CLI turns it
+    into an exit code.
     """
     from repro import quick_setup
 
@@ -330,28 +416,27 @@ def selftest(
     )
 
     serial = run_serial(fresh(), schedule)
-    want_state = state_signature(serial.core)
-    want_events = event_signature(serial.core)
-    want_responses = response_signature(serial.responses)
+    want = signatures(serial.core, serial.responses)
+    checks: dict[str, bool] = {"serial_invariants": not want.violations}
 
-    checks: dict[str, bool] = {
-        "serial_invariants": not check_invariants(
-            serial.core.kernel, serial.core.allocator
-        )
-    }
+    def compare(prefix: str, got: Signatures, want: Signatures) -> None:
+        checks[f"{prefix}_state"] = got.state == want.state
+        checks[f"{prefix}_events"] = got.events == want.events
+        checks[f"{prefix}_responses"] = got.responses == want.responses
+        checks[f"{prefix}_invariants"] = not got.violations
+
     mean_commit = 0.0
     for iseed in interleave_seeds:
         outcome = run_concurrent(fresh(), schedule, interleave_seed=iseed)
-        prefix = f"interleave{iseed}"
-        checks[f"{prefix}_state"] = state_signature(outcome.core) == want_state
-        checks[f"{prefix}_events"] = event_signature(outcome.core) == want_events
-        checks[f"{prefix}_responses"] = (
-            response_signature(outcome.responses) == want_responses
-        )
-        checks[f"{prefix}_invariants"] = not check_invariants(
-            outcome.core.kernel, outcome.core.allocator
+        compare(
+            f"interleave{iseed}", signatures(outcome.core, outcome.responses), want
         )
         mean_commit = max(mean_commit, outcome.mean_commit_size)
+    compare(
+        "stream",
+        run_stream(fresh(), schedule),
+        signatures(serial.core, over_the_wire(serial.responses)),
+    )
     return {
         "ok": all(checks.values()),
         "checks": checks,

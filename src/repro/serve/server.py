@@ -9,8 +9,10 @@ Two layers, deliberately separable:
   differential suite *is* the production code path, not a lookalike.
 * :class:`ReproServeServer` — the asyncio transport: admission control
   with a bounded pending window, an optional :class:`~.batcher.Sequencer`
-  for schedule-order commits, and a single commit task that drains
-  concurrently-arrived requests and applies each in order.
+  for schedule-order commits, and one ``loop.call_soon`` commit per
+  wake-up that drains concurrently-arrived requests and applies each in
+  order.  :class:`StreamServer` serves NDJSON connections into it, one
+  :class:`asyncio.Protocol` per connection.
 
 The determinism contract (pinned by ``tests/serve/test_differential.py``):
 with sequenced commits, any arrival interleaving of a request schedule
@@ -25,9 +27,10 @@ depend on arrival timing) cannot change outcomes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 from collections.abc import Callable
-from typing import Any
+from typing import Any, cast
 
 from ..alloc.allocator import Buffer, HeterogeneousAllocator
 from ..core.querycache import consistent_read
@@ -515,13 +518,21 @@ class ServeCore:
 class ReproServeServer:
     """The asyncio transport around a :class:`ServeCore`.
 
-    One commit task owns every kernel mutation (the single-writer lock
-    discipline); ``submit`` is the only way in.  ``sequenced=True``
-    requires a dense global ``seq`` on every request and commits in that
-    order regardless of arrival; admission control is then disabled —
-    holding back seq *n* while rejecting seq *n+1* would deadlock the
-    schedule (documented in ``docs/SERVE.md``).
+    ``submit`` is the only way in.  It answers ``seq`` and admission
+    errors at once; any other request goes into an inbox, and the first
+    entry into an empty inbox schedules one commit with
+    ``loop.call_soon``.  That commit drains everything that arrived by
+    then and applies it in order, so kernel mutations happen in one
+    callback at a time (the single-writer discipline) and no request
+    gets a task of its own.  ``sequenced=True`` requires a dense global
+    ``seq`` on every request and commits in that order regardless of
+    arrival; admission control is then disabled — holding back seq *n*
+    while rejecting seq *n+1* would deadlock the schedule (documented in
+    ``docs/SERVE.md``).
     """
+
+    #: The loop the server was started on.
+    _loop: asyncio.AbstractEventLoop
 
     def __init__(
         self,
@@ -544,8 +555,10 @@ class ReproServeServer:
         )
         self.sequenced = sequenced
         self.max_pending = max_pending
-        self._queue: asyncio.Queue[object] | None = None
-        self._commit_task: asyncio.Task[None] | None = None
+        #: Requests and admin steps since the last commit, in arrival order.
+        self._inbox: list[tuple[Request | Callable[[], Any], asyncio.Future[Any]]] = []
+        #: The scheduled commit; set exactly while the inbox is not empty.
+        self._wakeup: asyncio.Handle | None = None
         self._sequencer: Sequencer[tuple[Request, asyncio.Future[Response]]] | None = (
             Sequencer() if sequenced else None
         )
@@ -567,19 +580,26 @@ class ReproServeServer:
     async def start(self) -> None:
         if self._running:
             raise ServeError("server already running")
-        self._queue = asyncio.Queue()
+        self._loop = asyncio.get_running_loop()
         self._running = True
-        self._commit_task = asyncio.create_task(self._commit_loop())
 
     async def stop(self) -> None:
-        if not self._running or self._queue is None:
+        """Commit what already arrived, then refuse new work."""
+        if not self._running:
             return
         self._running = False
-        self._queue.put_nowait(None)
-        if self._commit_task is not None:
-            await self._commit_task
-            self._commit_task = None
-        self._queue = None
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._commit()
+        # Anything still held back (a sequenced schedule cut short) gets
+        # a typed shutdown response, never a hang.
+        if self._sequencer is not None:
+            for request, future in self._sequencer.drain():
+                self._pending -= 1
+                if not future.done():
+                    future.set_result(
+                        _err(request, "shutting-down", "server stopped")
+                    )
 
     @property
     def pending(self) -> int:
@@ -596,115 +616,100 @@ class ReproServeServer:
         }
 
     # ------------------------------------------------------------------
-    async def submit(self, request: Request) -> Response:
-        """Queue one request and await its response.
+    def submit(self, request: Request) -> asyncio.Future[Response]:
+        """Admit one request; the returned future resolves to its response.
 
         Unsequenced servers reject (typed, state untouched) when the
         pending window is full — backpressure the client can see.
         """
-        if not self._running or self._queue is None:
+        if not self._running:
             raise ServeError("server is not running")
+        future: asyncio.Future[Response] = self._loop.create_future()
         if self.sequenced and request.seq is None:
-            return _err(
-                request, "bad-request", "sequenced server requires a 'seq'"
+            future.set_result(
+                _err(request, "bad-request", "sequenced server requires a 'seq'")
             )
-        if not self.sequenced and self._pending >= self.max_pending:
-            return self.core.reject_admission(
-                request, f"queue full ({self._pending} pending)"
+        elif not self.sequenced and self._pending >= self.max_pending:
+            future.set_result(
+                self.core.reject_admission(
+                    request, f"queue full ({self._pending} pending)"
+                )
             )
-        future: asyncio.Future[Response] = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending += 1
-        self._queue.put_nowait(("req", request, future))
-        return await future
+        else:
+            self._pending += 1
+            self._enqueue(request, future)
+        return future
 
     async def run_admin(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn()`` inside the commit task, serialized with commits.
+        """Run ``fn()`` in the commit stage, serialized with commits.
 
         The chaos harness injects fault-clock ticks this way so faults
         interleave with allocations at commit granularity, exactly like
         the serial reference.
         """
-        if not self._running or self._queue is None:
+        return await self._admin(fn)
+
+    def _admin(self, fn: Callable[[], Any]) -> asyncio.Future[Any]:
+        if not self._running:
             raise ServeError("server is not running")
-        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(("admin", fn, future))
-        return await future
+        future: asyncio.Future[Any] = self._loop.create_future()
+        self._enqueue(fn, future)
+        return future
+
+    def _enqueue(
+        self, item: Request | Callable[[], Any], future: asyncio.Future[Any]
+    ) -> None:
+        self._inbox.append((item, future))
+        if self._wakeup is None:
+            self._wakeup = self._loop.call_soon(self._commit)
 
     # ------------------------------------------------------------------
-    async def _commit_loop(self) -> None:
-        assert self._queue is not None
-        queue = self._queue
+    def _commit(self) -> None:
+        """Drain the inbox: runs of requests, admin steps between them."""
+        self._wakeup = None
+        inbox, self._inbox = self._inbox, []
         run: list[tuple[Request, asyncio.Future[Response]]] = []
-        stopping = False
-
-        def flush_run() -> None:
-            if not run:
-                return
-            requests = [request for request, _ in run]
-            try:
-                responses = self.core.apply_run(requests)
-            except Exception as err:  # pragma: no cover - core bug guard
-                for _, future in run:
-                    if not future.done():
-                        future.set_exception(
-                            ServeError(f"commit failed: {err}")
-                        )
-                self._pending -= len(run)
-                run.clear()
-                return
-            self.commits += 1
-            self.committed_requests += len(run)
-            for (_, future), response in zip(run, responses):
-                self._pending -= 1
-                if not future.done():
-                    future.set_result(response)
-            run.clear()
-
-        while True:
-            item = await queue.get()
-            drained: list[object] = [item]
-            while True:
+        for item, future in inbox:
+            if not isinstance(item, Request):
+                self._apply(run)
+                run = []
                 try:
-                    drained.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for entry in drained:
-                if entry is None:
-                    stopping = True
-                    continue
-                tag = entry[0]  # type: ignore[index]
-                if tag == "admin":
-                    flush_run()
-                    _, fn, future = entry  # type: ignore[misc]
-                    try:
-                        result = fn()
-                    except Exception as err:
-                        if not future.done():
-                            future.set_exception(err)
-                    else:
-                        if not future.done():
-                            future.set_result(result)
-                    continue
-                _, request, future = entry  # type: ignore[misc]
-                if self._sequencer is not None:
-                    assert request.seq is not None
-                    run.extend(self._sequencer.push(request.seq, (request, future)))
+                    result = item()
+                except Exception as err:
+                    if not future.done():
+                        future.set_exception(err)
                 else:
-                    run.append((request, future))
-            flush_run()
-            if stopping:
-                break
-        # Anything still held back (a sequenced schedule cut short) gets
-        # a typed shutdown response, never a hang.
-        if self._sequencer is not None:
-            for request, future in self._sequencer.drain():
-                self._pending -= 1
+                    if not future.done():
+                        future.set_result(result)
+            elif self._sequencer is None:
+                run.append((item, future))
+            else:
+                assert item.seq is not None
+                try:
+                    run.extend(self._sequencer.push(item.seq, (item, future)))
+                except ServeError as err:  # a duplicate or stale seq
+                    self._pending -= 1
+                    if not future.done():
+                        future.set_result(_err(item, "bad-request", str(err)))
+        self._apply(run)
+
+    def _apply(self, run: list[tuple[Request, asyncio.Future[Response]]]) -> None:
+        """One commit: apply ``run`` in order and resolve its futures."""
+        if not run:
+            return
+        self._pending -= len(run)
+        try:
+            responses = self.core.apply_run([request for request, _ in run])
+        except Exception as err:  # pragma: no cover - core bug guard
+            for _, future in run:
                 if not future.done():
-                    future.set_result(
-                        _err(request, "shutting-down", "server stopped")
-                    )
+                    future.set_exception(ServeError(f"commit failed: {err}"))
+            return
+        self.commits += 1
+        self.committed_requests += len(run)
+        for (_, future), response in zip(run, responses):
+            if not future.done():
+                future.set_result(response)
 
 
 class _VerbMethods:
@@ -825,37 +830,30 @@ class ServeClient(_VerbMethods):
         )
 
 
-#: Longest request line, in bytes, the stream front end buffers (asyncio's
-#: default stream limit).  A longer line gets a typed ``bad-request`` and
-#: is skipped; the connection keeps serving.
+#: Longest request line, in bytes, the stream front end accepts.  A
+#: longer line gets a typed ``bad-request`` and is skipped; the
+#: connection keeps serving.
 _LINE_LIMIT = 2 ** 16
-
-
-async def _skip_line(reader: asyncio.StreamReader) -> None:
-    """Discard input through the next newline without buffering it whole."""
-    while True:
-        try:
-            await reader.readuntil(b"\n")
-            return
-        except asyncio.LimitOverrunError as err:
-            await reader.readexactly(err.consumed)
-        except asyncio.IncompleteReadError:
-            return
+_TOO_LONG = f"request line exceeds the {_LINE_LIMIT}-byte limit"
 
 
 class StreamServer:
-    """NDJSON-over-asyncio-streams front end for out-of-process clients.
+    """NDJSON-over-TCP front end for out-of-process clients.
 
-    Requests on one connection are answered as they complete (clients
-    match by ``id``), so a slow migration does not head-of-line-block a
-    quick query from the same tenant.  Malformed and oversize lines are
-    answered with a typed ``bad-request`` (id -1), never a disconnect.
+    Each connection is one :class:`asyncio.Protocol`, with no task,
+    lock or drain per request.  Requests on a connection are answered as
+    they complete (clients match by ``id``), so a slow migration does not
+    head-of-line-block a quick query from the same tenant.  Malformed and
+    oversize lines are answered with a typed ``bad-request`` (id -1),
+    never a disconnect, and a request that arrives after the server
+    stopped gets a typed ``shutting-down`` on its own id.  While a client
+    leaves its answers unread, its connection stops reading requests.
 
     The connection whose ``open`` succeeded owns the tenant until a
-    ``close`` succeeds from any connection.  When the connection ends,
-    the tenants it still owns are closed as an admin step
-    (:meth:`ReproServeServer.run_admin`), so a client that disconnects
-    leaks no session, quota or pages (docs/SERVE.md).
+    ``close`` succeeds from any connection.  When the connection ends
+    and nothing of it is in flight, the tenants it still owns are closed
+    as one admin step (:meth:`ReproServeServer.run_admin`), so a client
+    that disconnects leaks no session, quota or pages (docs/SERVE.md).
     """
 
     def __init__(
@@ -871,8 +869,8 @@ class StreamServer:
         self._asyncio_server: asyncio.Server | None = None
 
     async def start(self) -> tuple[str, int]:
-        self._asyncio_server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=_LINE_LIMIT
+        self._asyncio_server = await asyncio.get_running_loop().create_server(
+            functools.partial(_Connection, self.server), self.host, self.port
         )
         sock = self._asyncio_server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -884,79 +882,126 @@ class StreamServer:
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task[None]] = set()
-        # tenant -> this connection's last successful open of it.
-        owned: dict[str, Request] = {}
+
+class _Connection(asyncio.Protocol):
+    """One :class:`StreamServer` connection: lines in, answers out."""
+
+    _transport: asyncio.Transport
+
+    def __init__(self, server: ReproServeServer) -> None:
+        self._server = server
+        #: The input after its last newline.
+        self._tail = b""
+        #: Discarding an oversize line up to its newline.
+        self._skipping = False
+        self._in_flight = 0
+        #: The input ended (EOF or a reset).
+        self._ended = False
+        #: tenant -> this connection's last successful open of it.
+        self._owned: dict[str, Request] = {}
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        if self._skipping:
+            cut = data.find(b"\n")
+            if cut < 0:
+                return
+            self._skipping = False
+            data = data[cut + 1:]
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()
+        for line in lines:
+            self._line(line)
+        if len(self._tail) > _LINE_LIMIT:
+            self._tail = b""
+            self._skipping = True
+            self._reject(_TOO_LONG)
+
+    def eof_received(self) -> bool:
+        if not self._skipping:
+            self._line(self._tail)  # an unterminated last line
+        self._tail = b""
+        self._end_input()
+        return True  # keep the write side open for the answers in flight
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self._ended:  # reset by the peer: ends the input like EOF
+            self._end_input()
+
+    # Flow control: read no requests while the client leaves answers unread.
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def _line(self, line: bytes) -> None:
+        if len(line) > _LINE_LIMIT:
+            self._reject(_TOO_LONG)
+            return
+        if not line.strip():
+            return
         try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as eof:
-                    line = eof.partial  # an unterminated last line, or EOF
-                except ConnectionError:
-                    break  # reset by the peer: ends the connection like EOF
-                except asyncio.LimitOverrunError:
-                    await self._reject(
-                        writer,
-                        write_lock,
-                        f"request line exceeds the {_LINE_LIMIT}-byte limit",
-                    )
-                    await _skip_line(reader)
-                    continue
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_request(line)
-                except ProtocolError as err:
-                    await self._reject(writer, write_lock, str(err))
-                    continue
-                task = asyncio.create_task(
-                    self._serve_one(request, writer, write_lock, owned)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            await self._close_owned(owned)
+            request = decode_request(line)
+        except ProtocolError as err:
+            self._reject(str(err))
+            return
+        try:
+            future = self._server.submit(request)
+        except ServeError as err:  # the server stopped
+            self._write(_err(request, "shutting-down", str(err)))
+            return
+        self._in_flight += 1
+        future.add_done_callback(functools.partial(self._answer, request))
+
+    def _answer(self, request: Request, future: asyncio.Future[Response]) -> None:
+        self._in_flight -= 1
+        try:
+            response = future.result()  # raises only if a commit failed
+            if response.ok and request.verb == "open":
+                self._owned[request.tenant] = request
+            self._write(response)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            if self._ended and not self._in_flight:
+                self._close()
 
-    @staticmethod
-    async def _reject(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: str
-    ) -> None:
-        response = Response(
-            id=-1,
-            verb="?",
-            tenant="?",
-            ok=False,
-            error="bad-request",
-            message=message,
+    def _reject(self, message: str) -> None:
+        self._write(
+            Response(
+                id=-1,
+                verb="?",
+                tenant="?",
+                ok=False,
+                error="bad-request",
+                message=message,
+            )
         )
-        async with write_lock:
-            writer.write(encode_response(response))
-            await writer.drain()
 
-    async def _close_owned(self, owned: dict[str, Request]) -> None:
-        """Close each tenant whose live session this connection opened.
+    def _write(self, response: Response) -> None:
+        if not self._transport.is_closing():
+            self._transport.write(encode_response(response))
+
+    def _end_input(self) -> None:
+        self._ended = True
+        if not self._in_flight:
+            self._close()
+
+    def _close(self) -> None:
+        """Close each tenant whose live session this connection opened,
+        then the transport.
 
         One admin step, serialized with commits but outside any ``seq``
         schedule, so the ownership test and the close see the same
-        state.  A stopping server skips it.
+        state.  A stopped server skips it.
         """
-        if not owned or not self.server._running:
+        server = self._server
+        if not self._owned or not server._running:
+            self._transport.close()
             return
-        core = self.server.core
+        core = server.core
+        owned = self._owned
 
         def close_owned() -> None:
             for tenant, opened in owned.items():
@@ -964,21 +1009,9 @@ class StreamServer:
                 if session is not None and session.opened_by is opened:
                     core.apply(Request(verb="close", tenant=tenant, id=-1))
 
-        await self.server.run_admin(close_owned)
-
-    async def _serve_one(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        owned: dict[str, Request],
-    ) -> None:
-        response = await self.server.submit(request)
-        if response.ok and request.verb == "open":
-            owned[request.tenant] = request
-        async with write_lock:
-            writer.write(encode_response(response))
-            await writer.drain()
+        server._admin(close_owned).add_done_callback(
+            lambda _: self._transport.close()
+        )
 
 
 class StreamServeClient(_VerbMethods):

@@ -13,7 +13,8 @@ Everything externally visible must be bit-identical: final kernel
 free-page counters, every tenant's per-handle page map, the quota
 ledger, co-tenant holds, every response (diagnostics stripped), and the
 typed-event log *as an ordered sequence* — strictly stronger than the
-multiset equality the acceptance bar asks for.
+multiset equality the acceptance bar asks for.  Ten of the seeds also
+replay over loopback TCP, through the stream front end.
 """
 
 import random
@@ -26,10 +27,13 @@ from repro.alloc import HeterogeneousAllocator
 from repro.serve import ReproServeServer, ServeCore
 from repro.serve.replay import (
     event_signature,
+    over_the_wire,
     response_signature,
     run_concurrent,
     run_serial,
+    run_stream,
     seeded_schedule,
+    signatures,
     state_signature,
 )
 from repro.resilience import check_invariants
@@ -87,6 +91,21 @@ def test_concurrent_replay_is_bit_identical_to_serial(seed):
         event_signature(serial.core)
     )
     assert not check_invariants(concurrent.core.kernel, concurrent.core.allocator)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stream_replay_is_bit_identical_to_serial(seed):
+    """One pipelining client per tenant over the NDJSON transport; the
+    serial responses take the same encode/decode round trip."""
+    schedule = schedule_for(seed)
+    serial = run_serial(fresh_allocator(seed), schedule)
+    want = signatures(serial.core, over_the_wire(serial.responses))
+    got = run_stream(fresh_allocator(seed), schedule)
+
+    assert got.state == want.state
+    assert got.events == want.events
+    assert got.responses == want.responses
+    assert not got.violations
 
 
 def test_interleaving_choice_never_matters():

@@ -43,8 +43,9 @@ def allocator(base):
     return HeterogeneousAllocator(base.memattrs, kernel)
 
 
-def run(coro):
-    return asyncio.run(coro)
+def run(coro, timeout_s=60.0):
+    """Run one scenario; a hung transport fails it instead of the suite."""
+    return asyncio.run(asyncio.wait_for(coro, timeout_s))
 
 
 class TestSessionLifecycle:
@@ -345,6 +346,21 @@ class TestVerbs:
 
         run(scenario())
 
+    def test_duplicate_seq_gets_typed_error(self, allocator):
+        """A reused ``seq`` is refused on its own id; later ones commit."""
+
+        async def scenario():
+            async with ReproServeServer(allocator, sequenced=True) as server:
+                client = ServeClient(server, "t")
+                assert (await client.open(seq=0)).ok
+                dup = await asyncio.wait_for(client.stats(seq=0), 2.0)
+                assert dup.error == "bad-request"
+                assert "sequence number 0" in dup.message
+                assert (await asyncio.wait_for(client.stats(seq=1), 2.0)).ok
+                assert server.pending == 0
+
+        run(scenario())
+
     def test_shutdown_answers_held_requests(self, allocator):
         async def scenario():
             server = ReproServeServer(allocator, sequenced=True)
@@ -441,6 +457,54 @@ class TestStreamTransport:
                     writer.close()
                     await writer.wait_closed()
                     await stream.stop()
+
+        run(scenario())
+
+    def test_undecodable_line_gets_typed_error_not_disconnect(self, allocator):
+        """Bad UTF-8 and nesting too deep for the JSON decoder are
+        malformed lines like any other."""
+
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for rid, bad in enumerate((b"\xff\xfe", b"[" * 50_000)):
+                        writer.write(bad + b"\n")
+                        reply = decode_response(await reader.readline())
+                        assert reply.error == "bad-request"
+                        assert reply.id == -1
+                        reply = await _raw_request(
+                            reader, writer, f"t{rid}", "open", rid=rid
+                        )
+                        assert reply.ok
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_request_after_stop_gets_shutting_down(self, allocator):
+        """A stopped server answers each later request on its own id."""
+
+        async def scenario():
+            server = ReproServeServer(allocator)
+            await server.start()
+            stream = StreamServer(server)
+            host, port = await stream.start()
+            client = await StreamServeClient.connect(host, port, "t")
+            try:
+                assert (await client.open()).ok
+                await server.stop()
+                stats = await asyncio.wait_for(client.stats(), 2.0)
+                assert (stats.id, stats.error) == (2, "shutting-down")
+                query = await asyncio.wait_for(client.query("Bandwidth", 0), 2.0)
+                assert (query.id, query.error) == (3, "shutting-down")
+            finally:
+                await client.aclose()
+                await stream.stop()
 
         run(scenario())
 
@@ -597,6 +661,118 @@ class TestDisconnect:
                     assert stats.result["sessions"]["t1"]["buffers"] == 1
                 finally:
                     await other.aclose()
+                    await stream.stop()
+
+        run(scenario())
+
+
+def _query_lines(tenant, ids):
+    """Pipelined 250-byte queries.  The padding, which ``query`` ignores,
+    lets what a server leaves unread of 40,000 lines (10 MB) outgrow the
+    kernel's socket buffers."""
+    payload = {"attribute": "Bandwidth", "initiator": 0, "pad": "x" * 150}
+    return b"".join(
+        encode_request(Request(verb="query", tenant=tenant, id=rid, payload=payload))
+        for rid in ids
+    )
+
+
+async def _applied_when_steady(core, verb, settle_s=0.3, timeout_s=20.0):
+    """How many ``verb`` requests the core applied, once that stops
+    changing for ``settle_s``."""
+    seen = -1
+    for _ in range(int(timeout_s / settle_s)):
+        count = core.verb_counts.get(verb, 0)
+        if count == seen:
+            return count
+        seen = count
+        await asyncio.sleep(settle_s)
+    return seen
+
+
+class TestPipelining:
+    """A client may pipeline without bound: the server reads requests
+    only as fast as the client takes its answers."""
+
+    def test_unread_answers_stop_reading(self, allocator):
+        n = 40_000
+
+        async def scenario():
+            # No admission rejections: every line read is applied.
+            async with ReproServeServer(allocator, max_pending=n) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                # Small kernel buffers on the client, so that what the
+                # server leaves unread backs up into the client's writer.
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(sock, (host, port))
+                reader, writer = await asyncio.open_connection(sock=sock)
+                try:
+                    assert (await _raw_request(reader, writer, "t", "open")).ok
+                    writer.write(_query_lines("t", range(2, n + 2)))
+                    drain = asyncio.ensure_future(writer.drain())
+                    applied = await _applied_when_steady(server.core, "query")
+                    assert applied < n, "the server read every unanswered line"
+                    assert not drain.done(), "the client's writes never blocked"
+                    answered = []
+                    while len(answered) < n:
+                        answered.append(decode_response(await reader.readline()))
+                    await drain
+                    assert sorted(r.id for r in answered) == list(range(2, n + 2))
+                    assert all(r.ok for r in answered)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_half_close_after_a_burst_gets_every_answer(self, allocator):
+        n = 2000
+
+        async def scenario():
+            async with ReproServeServer(allocator, max_pending=n) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    opening = encode_request(Request(verb="open", tenant="t", id=0))
+                    writer.write(opening + _query_lines("t", range(1, n)))
+                    writer.write_eof()
+                    answered = []
+                    while line := await reader.readline():
+                        answered.append(decode_response(line))
+                    assert sorted(r.id for r in answered) == list(range(n))
+                    assert all(r.ok for r in answered)
+                    # The hang-up came after the owned tenant was closed.
+                    assert server.core.sessions == {}
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    await stream.stop()
+
+        run(scenario())
+
+    def test_request_written_a_byte_at_a_time(self, allocator):
+        async def scenario():
+            async with ReproServeServer(allocator) as server:
+                stream = StreamServer(server)
+                host, port = await stream.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    line = encode_request(Request(verb="open", tenant="t", id=7))
+                    for i in range(len(line)):
+                        writer.write(line[i:i + 1])
+                        await writer.drain()
+                        await asyncio.sleep(0.001)
+                    reply = decode_response(await reader.readline())
+                    assert (reply.id, reply.ok) == (7, True)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
                     await stream.stop()
 
         run(scenario())
