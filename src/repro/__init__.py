@@ -18,6 +18,10 @@ The package layers, bottom to top:
 * :mod:`repro.omp` — OpenMP memory spaces and allocators on top.
 * :mod:`repro.serve` — multi-tenant placement daemon (``repro-serve``).
 
+``import repro`` loads none of them: each subpackage (and each name
+re-exported here, such as ``repro.SimEngine``) is imported on first
+access, so an entry point pays only for the layers it uses.
+
 Quickstart::
 
     from repro import quick_setup
@@ -28,35 +32,17 @@ Quickstart::
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
-from . import (
-    alloc,
-    apps,
-    baselines,
-    bench,
-    core,
-    errors,
-    firmware,
-    hw,
-    kernel,
-    obs,
-    omp,
-    profiler,
-    resilience,
-    sensitivity,
-    serve,
-    sim,
-    topology,
-    units,
-)
-from .alloc import HeterogeneousAllocator
-from .bench import characterize_machine, feed_attributes
-from .core import MemAttrs, native_discovery
-from .hw import MachineSpec, get_platform
-from .kernel import KernelMemoryManager
-from .sim import SimEngine
-from .topology import Topology, build_topology
+if TYPE_CHECKING:
+    from .alloc import HeterogeneousAllocator
+    from .core import MemAttrs
+    from .hw import MachineSpec
+    from .kernel import KernelMemoryManager
+    from .sim import SimEngine
+    from .topology import Topology
 
 __version__ = "1.0.0"
 
@@ -84,6 +70,39 @@ __all__ = [
     "__version__",
 ]
 
+#: Resolved on first access (PEP 562), so ``import repro`` loads no
+#: subpackage: each name of :data:`_SUBMODULES` imports that module, and
+#: each re-exported name of :data:`_EXPORTS` the subpackage defining it.
+_SUBMODULES = frozenset(
+    {
+        "alloc", "apps", "baselines", "bench", "core", "errors", "firmware",
+        "hw", "kernel", "obs", "omp", "profiler", "resilience", "sensitivity",
+        "serve", "sim", "topology", "units",
+    }
+)
+_EXPORTS = {
+    "HeterogeneousAllocator": "alloc",
+    "characterize_machine": "bench",
+    "feed_attributes": "bench",
+    "MemAttrs": "core",
+    "native_discovery": "core",
+    "MachineSpec": "hw",
+    "get_platform": "hw",
+    "KernelMemoryManager": "kernel",
+    "SimEngine": "sim",
+    "Topology": "topology",
+    "build_topology": "topology",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass
 class ReproSetup:
@@ -109,12 +128,21 @@ def quick_setup(
     provides one, else from the benchmark sweep; pass ``benchmark=True``
     to force benchmarking (it also measures remote accesses).
     """
+    from .alloc import HeterogeneousAllocator
+    from .core import MemAttrs, native_discovery
+    from .hw import get_platform
+    from .kernel import KernelMemoryManager
+    from .sim import SimEngine
+    from .topology import build_topology
+
     machine = get_platform(platform, **platform_kwargs)
     topo = build_topology(machine)
     engine = SimEngine(machine, topo)
     if benchmark is None:
         benchmark = not machine.has_hmat
     if benchmark:
+        from .bench import characterize_machine, feed_attributes
+
         memattrs = MemAttrs(topo)
         feed_attributes(memattrs, characterize_machine(engine))
     else:

@@ -303,7 +303,7 @@ class HeterogeneousAllocator:
             try:
                 buffer = self._alloc(
                     size, attribute, initiator, name,
-                    allow_partial, allow_fallback, scope, traced=True,
+                    allow_partial, allow_fallback, scope,
                 )
             except CapacityError:
                 metrics.counter("alloc.capacity_errors", attribute=attribute).inc()
@@ -333,13 +333,13 @@ class HeterogeneousAllocator:
 
     def _alloc(
         self, size, attribute, initiator, name,
-        allow_partial, allow_fallback, scope, traced=False,
+        allow_partial, allow_fallback, scope,
     ) -> Buffer:
         """The placement route every allocation takes.
 
-        Memo probe, validate, plan, place, fail — in that order.
-        ``traced`` requests count a recycled commit in the kernel's
-        counters, since it never reaches the kernel.
+        Memo probe, validate, plan, place, fail — in that order.  While
+        telemetry is on, a recycled commit counts in the kernel's
+        counters, sampled in or not, since it never reaches the kernel.
         """
         try:
             plan = self._plans.get((attribute, initiator, scope))
@@ -369,9 +369,8 @@ class HeterogeneousAllocator:
                         state.free_pages -= pages
                         alloc.freed = False
                         self._kernel_live[alloc.allocation_id] = alloc
-                        if traced:
-                            OBS.metrics.counter("kernel.allocations").inc()
-                            OBS.metrics.counter("kernel.pages_allocated").inc(pages)
+                        if OBS.enabled:
+                            self.kernel._count_commit(pages)
                         return buf
 
         if size <= 0:

@@ -13,8 +13,6 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import (
     CapacityError,
     MigrationError,
@@ -25,7 +23,7 @@ from ..errors import (
 from ..firmware.slit import Slit, build_slit
 from ..firmware.srat import Srat, build_srat
 from ..hw.spec import MachineSpec
-from ..obs import OBS
+from ..obs import OBS, Counter, MetricsRegistry
 from .migration import MigrationReport, estimate_migration
 from .nodes import NodeState
 from .policy import MemPolicy, PolicyKind, bind_policy
@@ -134,6 +132,9 @@ class KernelMemoryManager:
         # the allocation hot path stops re-sorting distances per call.
         self._zonelist_cache: dict[int, tuple[int, ...]] = {}
         self._order_cache: dict[tuple[MemPolicy, int], tuple[int, ...]] = {}
+        #: ``kernel.allocations`` and ``kernel.pages_allocated`` of the
+        #: registry they were looked up in (see :meth:`_count_commit`).
+        self._commit_counters: tuple[MetricsRegistry, Counter, Counter] | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -181,16 +182,29 @@ class KernelMemoryManager:
         self._zonelist_cache[from_node] = order
         return order
 
-    def free_pages_array(self) -> np.ndarray:
-        """Per-node free-page counters as an int64 array, in sorted node
-        id order.  Offline nodes report 0, matching :meth:`free_bytes`."""
-        ids = self.node_ids()
+    def free_pages_array(self) -> list[int]:
+        """Per-node free-page counters, in sorted node id order.  Offline
+        nodes report 0, matching :meth:`free_bytes`."""
         offline = self._offline
-        return np.fromiter(
-            (0 if n in offline else self.nodes[n].free_pages for n in ids),
-            dtype=np.int64,
-            count=len(ids),
-        )
+        return [
+            0 if n in offline else self.nodes[n].free_pages
+            for n in self.node_ids()
+        ]
+
+    def _count_commit(self, pages: int) -> None:
+        """Count one page commit in ``kernel.allocations`` and
+        ``kernel.pages_allocated``; callers check ``OBS.enabled`` first.
+        The counters are looked up once per registry, not per commit."""
+        metrics = OBS.metrics
+        counters = self._commit_counters
+        if counters is None or counters[0] is not metrics:
+            counters = self._commit_counters = (
+                metrics,
+                metrics.counter("kernel.allocations"),
+                metrics.counter("kernel.pages_allocated"),
+            )
+        counters[1].value += 1
+        counters[2].value += pages
 
     def _node(self, node: int) -> NodeState:
         try:
@@ -248,8 +262,7 @@ class KernelMemoryManager:
         )
         self._live[alloc.allocation_id] = alloc
         if OBS.enabled:
-            OBS.metrics.counter("kernel.allocations").inc()
-            OBS.metrics.counter("kernel.pages_allocated").inc(alloc.total_pages)
+            self._count_commit(alloc.total_pages)
         return alloc
 
     def allocate_ordered(
@@ -300,8 +313,7 @@ class KernelMemoryManager:
         )
         self._live[alloc.allocation_id] = alloc
         if OBS.enabled:
-            OBS.metrics.counter("kernel.allocations").inc()
-            OBS.metrics.counter("kernel.pages_allocated").inc(pages)
+            self._count_commit(pages)
         return alloc
 
     def place_pages(
@@ -323,8 +335,7 @@ class KernelMemoryManager:
         )
         self._live[alloc.allocation_id] = alloc
         if OBS.enabled:
-            OBS.metrics.counter("kernel.allocations").inc()
-            OBS.metrics.counter("kernel.pages_allocated").inc(pages)
+            self._count_commit(pages)
         return alloc
 
     def _candidate_order(self, policy: MemPolicy, initiator_pu: int) -> tuple[int, ...]:

@@ -17,26 +17,33 @@ This package makes the stack survivable under all of that — and provable:
   the ``repro-chaos`` CLI and the seeded test suite.
 """
 
-from .chaos import (
-    WORKLOADS,
-    ChaosOutcome,
-    ChaosRunResult,
-    check_invariants,
-    run_chaos,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from .events import EventKind, ResilienceEvent, ResilienceLog
-from .faults import (
-    AttrDegrade,
-    CapacityLoss,
-    CapacityRestore,
-    Fault,
-    FaultClock,
-    FaultPlan,
-    MigrationFlaky,
-    NodeOffline,
-    NodeOnline,
-)
 from .resilient import ResilientAllocator
+
+if TYPE_CHECKING:
+    from .chaos import (
+        WORKLOADS,
+        ChaosOutcome,
+        ChaosRunResult,
+        check_invariants,
+        run_chaos,
+    )
+    from .faults import (
+        AttrDegrade,
+        CapacityLoss,
+        CapacityRestore,
+        Fault,
+        FaultClock,
+        FaultPlan,
+        MigrationFlaky,
+        NodeOffline,
+        NodeOnline,
+    )
 
 __all__ = [
     "AttrDegrade",
@@ -58,3 +65,31 @@ __all__ = [
     "check_invariants",
     "run_chaos",
 ]
+
+#: The chaos harness and the fault schedules are not on the serve
+#: daemon's path: these names import their module on first access.
+_LAZY = {
+    "WORKLOADS": "chaos",
+    "ChaosOutcome": "chaos",
+    "ChaosRunResult": "chaos",
+    "check_invariants": "chaos",
+    "run_chaos": "chaos",
+    "AttrDegrade": "faults",
+    "CapacityLoss": "faults",
+    "CapacityRestore": "faults",
+    "Fault": "faults",
+    "FaultClock": "faults",
+    "FaultPlan": "faults",
+    "MigrationFlaky": "faults",
+    "NodeOffline": "faults",
+    "NodeOnline": "faults",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("chaos", "faults"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

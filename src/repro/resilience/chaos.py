@@ -307,7 +307,7 @@ def run_chaos(
                 continue
             degraded = any(
                 e.kind is EventKind.PLACEMENT_DEGRADED
-                for e in log.events[mark:]
+                for e in log.since(mark)
             )
             outcomes.append(
                 ChaosOutcome(

@@ -87,6 +87,11 @@ class ResilienceLog:
     def events(self) -> tuple[ResilienceEvent, ...]:
         return tuple(self._events)
 
+    def since(self, mark: int) -> tuple[ResilienceEvent, ...]:
+        """The events recorded after the first ``mark`` (a ``len(log)``
+        taken earlier), copying only those."""
+        return tuple(self._events[mark:])
+
     def of_kind(self, *kinds: EventKind) -> tuple[ResilienceEvent, ...]:
         wanted = set(kinds)
         return tuple(e for e in self._events if e.kind in wanted)

@@ -23,26 +23,21 @@ What the daemon adds on top of the allocator stack:
   in ``tests/serve/test_differential.py``).
 """
 
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from .batcher import Sequencer
 from .protocol import (
     ERROR_CODES,
+    VERBS,
     Request,
     Response,
-    VERBS,
     decode_request,
     decode_response,
     encode_request,
     encode_response,
-)
-from .replay import (
-    RunOutcome,
-    event_signature,
-    response_signature,
-    run_concurrent,
-    run_serial,
-    seeded_schedule,
-    selftest,
-    state_signature,
 )
 from .server import (
     ReproServeServer,
@@ -52,6 +47,18 @@ from .server import (
     StreamServer,
 )
 from .session import QuotaLedger, TenantSession
+
+if TYPE_CHECKING:
+    from .replay import (
+        RunOutcome,
+        event_signature,
+        response_signature,
+        run_concurrent,
+        run_serial,
+        seeded_schedule,
+        selftest,
+        state_signature,
+    )
 
 __all__ = [
     "ERROR_CODES",
@@ -79,3 +86,25 @@ __all__ = [
     "selftest",
     "state_signature",
 ]
+
+#: The replay harness (selftest and differential replays) is not on the
+#: daemon's path: its names import :mod:`.replay` on first access.
+_REPLAY_NAMES = frozenset(
+    {
+        "RunOutcome",
+        "event_signature",
+        "response_signature",
+        "run_concurrent",
+        "run_serial",
+        "seeded_schedule",
+        "selftest",
+        "state_signature",
+    }
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name == "replay" or name in _REPLAY_NAMES:
+        replay = importlib.import_module(f"{__name__}.replay")
+        return replay if name == "replay" else getattr(replay, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

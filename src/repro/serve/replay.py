@@ -314,7 +314,7 @@ def state_signature(core: ServeCore) -> dict[str, Any]:
             for handle in sorted(session.buffers)
         }
     return {
-        "free_pages": [int(x) for x in core.kernel.free_pages_array()],
+        "free_pages": core.kernel.free_pages_array(),
         "cotenant_pages": {
             n: core.kernel.cotenant_pages(n) for n in core.kernel.node_ids()
         },

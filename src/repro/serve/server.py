@@ -342,7 +342,7 @@ class ServeCore:
         session.allocs += 1
         reasons = tuple(
             reason
-            for event in self.log.events[mark:]
+            for event in self.log.since(mark)
             if event.kind is EventKind.PLACEMENT_DEGRADED
             for reason in event.detail.split("; ")
         )
@@ -462,7 +462,7 @@ class ServeCore:
             )
         retries = sum(
             1
-            for event in self.log.events[mark:]
+            for event in self.log.since(mark)
             if event.kind is EventKind.MIGRATION_RETRY
         )
         return _ok(
@@ -495,9 +495,7 @@ class ServeCore:
             },
             "events": event_counts,
             "kernel": {
-                "free_pages": [
-                    int(x) for x in self.kernel.free_pages_array()
-                ],
+                "free_pages": self.kernel.free_pages_array(),
                 "cotenant_pages": {
                     str(n): self.kernel.cotenant_pages(n)
                     for n in self.kernel.node_ids()

@@ -14,10 +14,13 @@ marks).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 from .access import BufferAccess, PatternKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["synth_trace", "classify_trace"]
 
@@ -29,6 +32,8 @@ def synth_trace(
     seed: int = 0,
 ) -> np.ndarray:
     """Generate ``n`` byte offsets a kernel with this access would touch."""
+    import numpy as np
+
     if n < 2:
         raise SimulationError("trace needs at least 2 accesses")
     rng = np.random.default_rng(seed)
@@ -65,6 +70,8 @@ def classify_trace(offsets: np.ndarray, *, line_size: int = 64) -> PatternKind:
     be seen from addresses alone, the profiler-side classifier in
     :mod:`repro.sensitivity` uses MLP to split them).
     """
+    import numpy as np
+
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.size < 2:
         raise SimulationError("trace too short to classify")

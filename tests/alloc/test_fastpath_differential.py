@@ -278,7 +278,7 @@ def placement_signature(seed: int, *, mode: str, coverage: set | None = None) ->
 
     # The final kernel state must agree page-for-page: recycling and the
     # rollbacks may not drift the counters.
-    sig.append(("state", tuple(int(x) for x in kernel.free_pages_array())))
+    sig.append(("state", tuple(kernel.free_pages_array())))
     sig.append(("live", len(kernel.live_allocations())))
     return sig
 

@@ -38,6 +38,17 @@ class TestBasics:
         assert zl[0] == 0
         assert set(zl) == set(km.node_ids())
 
+    def test_free_pages_array_is_a_list_of_ints(self, km):
+        before = km.free_pages_array()
+        km.allocate(64 * MiB, bind_policy(1))
+        km.offline_node(2)
+        free = km.free_pages_array()
+        assert type(free) is list
+        assert all(type(pages) is int for pages in free)
+        assert free == [km.free_bytes(n) // km.page_size for n in km.node_ids()]
+        assert free[1] == before[1] - 64 * MiB // km.page_size
+        assert free[2] == 0
+
     def test_bad_page_size(self, knl):
         with pytest.raises(SpecError):
             KernelMemoryManager(knl, page_size=0)

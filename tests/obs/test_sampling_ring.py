@@ -180,6 +180,19 @@ class TestRootSampling:
         assert OBS.tracer.open_spans == ()
         assert_well_nested(OBS.tracer.records)
 
+    def test_kernel_counters_exact_under_sampling(self, xeon_allocator):
+        """A recycled (pooled) commit counts in ``kernel.*`` whether its
+        request is sampled in or not, like a commit that reaches the
+        kernel."""
+        xeon_allocator.free(xeon_allocator.mem_alloc(MB, "Bandwidth", 0))
+        obs.enable(clock=Ticker(), sample_every=4)
+        for _ in range(40):
+            xeon_allocator.free(xeon_allocator.mem_alloc(MB, "Bandwidth", 0))
+        assert OBS.metrics.value("alloc.requests", attribute="Bandwidth") == 10
+        assert OBS.metrics.value("kernel.allocations") == 40
+        pages = -(-MB // xeon_allocator.kernel.page_size)
+        assert OBS.metrics.value("kernel.pages_allocated") == 40 * pages
+
     def test_suppression_balances_across_exceptions(self, xeon_allocator):
         obs.enable(clock=Ticker(), sample_every=2)
         xeon_allocator.mem_alloc(MB, "Bandwidth", 0, name="kept")    # 0: in

@@ -83,6 +83,21 @@ class TestDegradationEvents:
         assert len(ralloc.log.of_kind(EventKind.ALLOCATION_FAILED)) == 1
 
 
+class TestLogSince:
+    def test_since_returns_the_events_after_a_mark(self):
+        log = ResilienceLog()
+        log.record(EventKind.QUOTA_EXCEEDED, "t/a")
+        mark = len(log)
+        assert log.since(mark) == ()
+        later = (
+            log.record(EventKind.PLACEMENT_DEGRADED, "t/b", "capacity-fallback"),
+            log.record(EventKind.MIGRATION_RETRY, "t/b"),
+        )
+        assert log.since(mark) == later
+        assert log.since(0) == log.events
+        assert log.since(len(log)) == ()
+
+
 class TestMigrationRetry:
     def test_transient_failures_retried_until_success(self, ralloc, xeon_setup):
         buf = ralloc.mem_alloc(1 * GB, "Bandwidth", 0, name="m")

@@ -176,6 +176,6 @@ class TestSoak:
         assert len(records) >= 280
         violations = check_invariants(allocator.kernel, allocator)
         assert not violations, violations
-        free = [int(x) for x in allocator.kernel.free_pages_array()]
+        free = allocator.kernel.free_pages_array()
         assert all(f >= 0 for f in free)
         assert len(allocator.kernel.live_allocations()) == 0

@@ -16,7 +16,7 @@ from repro import quick_setup
 from repro.alloc import HeterogeneousAllocator
 from repro.errors import ServeError
 from repro.kernel import KernelMemoryManager
-from repro.resilience import EventKind
+from repro.resilience import EventKind, ResilienceLog
 from repro.serve import (
     ReproServeServer,
     Request,
@@ -76,16 +76,14 @@ class TestSessionLifecycle:
     def test_close_frees_leftover_buffers(self, allocator):
         async def scenario():
             async with ReproServeServer(allocator) as server:
-                free0 = [int(x) for x in allocator.kernel.free_pages_array()]
+                free0 = allocator.kernel.free_pages_array()
                 client = ServeClient(server, "t")
                 await client.open()
                 for i in range(3):
                     assert (await client.alloc(f"h{i}", 4 * MiB, "Capacity", 0)).ok
                 closed = await client.close()
                 assert closed.result["freed"] == 3
-                assert [
-                    int(x) for x in allocator.kernel.free_pages_array()
-                ] == free0
+                assert allocator.kernel.free_pages_array() == free0
 
         run(scenario())
 
@@ -121,14 +119,12 @@ class TestQuotas:
                 await client.open(quota_bytes=8 * MiB)
                 assert (await client.alloc("ok", 4 * MiB, "Capacity", 0)).ok
 
-                before_pages = [int(x) for x in allocator.kernel.free_pages_array()]
+                before_pages = allocator.kernel.free_pages_array()
                 before_ledger = server.core.ledger.snapshot()
                 denied = await client.alloc("big", 6 * MiB, "Capacity", 0)
                 assert not denied.ok
                 assert denied.error == "quota-exceeded"
-                assert [
-                    int(x) for x in allocator.kernel.free_pages_array()
-                ] == before_pages
+                assert allocator.kernel.free_pages_array() == before_pages
                 assert server.core.ledger.snapshot() == before_ledger
                 events = server.core.log.of_kind(EventKind.QUOTA_EXCEEDED)
                 assert len(events) == 1
@@ -200,15 +196,13 @@ class TestReservations:
             async with ReproServeServer(allocator) as server:
                 client = ServeClient(server, "t")
                 nodes = list(allocator.kernel.node_ids())
-                before = [int(x) for x in allocator.kernel.free_pages_array()]
+                before = allocator.kernel.free_pages_array()
                 bad = await client.open(
                     reserve={str(nodes[0]): 64, "not-a-node": 1}
                 )
                 assert not bad.ok
                 assert bad.error == "bad-request"
-                assert [
-                    int(x) for x in allocator.kernel.free_pages_array()
-                ] == before
+                assert allocator.kernel.free_pages_array() == before
                 assert not server.core.ledger.tracks("t")
 
         run(scenario())
@@ -268,16 +262,14 @@ class TestVerbs:
             async with ReproServeServer(allocator) as server:
                 client = ServeClient(server, "t")
                 await client.open()
-                before = [int(x) for x in allocator.kernel.free_pages_array()]
+                before = allocator.kernel.free_pages_array()
                 reply = await client.query("Bandwidth", 0)
                 assert reply.ok
                 assert reply.result["generation"] == server.core.memattrs.generation
                 assert reply.result["targets"], "ranking came back empty"
                 top = reply.result["targets"][0]
                 assert set(top) == {"node", "value", "free_bytes"}
-                assert [
-                    int(x) for x in allocator.kernel.free_pages_array()
-                ] == before
+                assert allocator.kernel.free_pages_array() == before
 
         run(scenario())
 
@@ -319,6 +311,50 @@ class TestVerbs:
         assert not again.result["degraded"]
         assert again.result["reasons"] == []
         assert not core.log.of_kind(EventKind.PLACEMENT_DEGRADED)
+
+    def test_replies_read_only_their_own_events(self, base, monkeypatch):
+        """alloc, alloc_many and migrate take their reasons and retries
+        from the events their request recorded: the same replies come
+        back when reading the whole log raises."""
+
+        def replies():
+            kernel = KernelMemoryManager(base.machine)
+            core = ServeCore(HeterogeneousAllocator(base.memattrs, kernel))
+
+            def apply(verb, **payload):
+                request = Request(verb=verb, tenant="t", id=0, payload=payload)
+                return core.apply(request).result
+
+            def spec(handle, size):
+                return {"handle": handle, "size": size,
+                        "attribute": "Bandwidth", "initiator": 0}
+
+            apply("open")
+            _, ranked = core.allocator.rank_for("Bandwidth", 0)
+            best = ranked[0].target.os_index
+            apply("alloc", **spec("filler", kernel.free_bytes(best)))
+            out = [
+                apply("alloc", **spec("a", 8 * MiB)),
+                apply("alloc_many", requests=[spec("b", 8 * MiB),
+                                              spec("c", 8 * MiB)]),
+            ]
+            failures = [True, True]
+            kernel.migration_fault_hook = lambda: bool(failures and failures.pop())
+            out.append(apply("migrate", handle="a", attribute="Capacity"))
+            return out
+
+        expected = replies()
+        assert expected[0]["reasons"] == ["capacity-fallback:rank1"]
+        assert [r["result"]["reasons"] for r in expected[1]["results"]] == [
+            ["capacity-fallback:rank1"]
+        ] * 2
+        assert expected[2]["retries"] == 2
+
+        def whole_log(self):
+            raise AssertionError("a reply copied the whole event log")
+
+        monkeypatch.setattr(ResilienceLog, "events", property(whole_log))
+        assert replies() == expected
 
     def test_stats_reports_sessions_ledger_and_kernel(self, allocator):
         async def scenario():
@@ -572,7 +608,7 @@ class TestDisconnect:
         async def scenario():
             async with ReproServeServer(allocator) as server:
                 core = server.core
-                free_before = list(core.kernel.free_pages_array())
+                free_before = core.kernel.free_pages_array()
                 stream = StreamServer(server)
                 host, port = await stream.start()
                 client = await StreamServeClient.connect(host, port, "t1")
@@ -587,7 +623,7 @@ class TestDisconnect:
                     assert core.sessions == {}
                     assert core.ledger.snapshot() == {}
                     assert core.kernel.live_allocations() == ()
-                    assert list(core.kernel.free_pages_array()) == free_before
+                    assert core.kernel.free_pages_array() == free_before
                 finally:
                     await stream.stop()
 
