@@ -1,19 +1,20 @@
-"""Steady-state allocation throughput: the allocator's memos vs uncached.
+"""Steady-state allocation throughput: the allocator's plan memo vs its miss path.
 
 The paper's ``mem_alloc(..., attribute)`` flow re-derives local targets,
 fallback chains and rankings on every call even though attribute values
-change rarely.  This bench measures what the allocator's memos buy on
-the two §VI servers: the generation-keyed ``alloc_rank`` family of the
-query cache behind ``rank_for`` (ranking-queries/sec) and the
-allocation plan memo with its recycling pool (allocations/sec over
-``mem_alloc``/``free`` pairs plus ``mem_alloc_many`` batches), cached
-vs uncached, and verifies the cached answers are bit-identical to the
-uncached ones.  "Uncached" turns the query cache off, so every
-``rank_for`` call re-ranks and every allocation rebuilds its allocation
-plan (no plan memo, no recycling pool); the placement route itself is
-the same.  Throughputs and speedups are ``wall`` rows
-of ``benchmarks/results/bench_alloc_throughput.json``; the query-cache
-counters of the fixed loops are exact ``count`` rows.
+change rarely.  This bench measures what the allocator's plan memo buys
+on the two §VI servers: one memoized plan per request answers
+``rank_for`` (ranking-queries/sec) and ``mem_alloc`` with its recycling
+pool (allocations/sec over ``mem_alloc``/``free`` pairs plus
+``mem_alloc_many`` batches), against the memo's miss path, and verifies
+the memoized answers are bit-identical to rebuilt ones.  The miss path
+is the same code with a generation bump
+(``memattrs.notify_topology_event()``) before each timed ranking,
+allocation or batch, so each of them rebuilds its plan (a batch
+rebuilds the one plan its requests share) and recycles nothing.
+Throughputs and speedups are ``wall`` rows
+of ``benchmarks/results/bench_alloc_throughput.json``; the memo counters
+of the fixed loops are exact ``count`` rows.
 
 A batch takes the same per-request route as ``mem_alloc``, so it has no
 faster path to show: the bench checks instead that a 64-request
@@ -28,14 +29,15 @@ import time
 import repro
 from repro.alloc import AllocRequest
 
-# Cached loop counts are high enough that the warm path dominates the
-# timing window; uncached loops stay small (each costs ~100x more).
+# Memo loop counts are high enough that the warm path dominates the
+# timing window; rebuilt loops stay small (each call costs ~100x more).
 LOOPS = {
     "rank_loops": 400,
+    "rank_loops_rebuilt": 100,
     "alloc_loops": 30000,
-    "alloc_loops_uncached": 1500,
+    "alloc_loops_rebuilt": 1500,
     "batch_rounds": 400,
-    "batch_rounds_uncached": 20,
+    "batch_rounds_rebuilt": 100,
 }
 ATTRS = ("Bandwidth", "Latency", "Capacity", "ReadBandwidth")
 SCOPES = ("local", "machine")
@@ -44,10 +46,9 @@ BATCH = 64
 SHAPE = {**LOOPS, "batch": BATCH}
 
 
-def _build(preset: str, cached: bool) -> repro.ReproSetup:
-    setup = repro.quick_setup(preset)
-    setup.memattrs.query_cache.enabled = cached
-    return setup
+def _no_bump() -> None:
+    """The memo path's ``before`` hook (the miss path's is a generation
+    bump)."""
 
 
 def _initiators(setup: repro.ReproSetup) -> tuple[int, ...]:
@@ -56,12 +57,13 @@ def _initiators(setup: repro.ReproSetup) -> tuple[int, ...]:
     return tuple(sorted(picks))
 
 
-def _rank_signature(setup, initiators):
+def _rank_signature(setup, initiators, before=_no_bump):
     """Every ranking answer, flattened to plain comparable data."""
     sig = []
     for attr in ATTRS:
         for init in initiators:
             for scope in SCOPES:
+                before()
                 used, ranked = setup.allocator.rank_for(attr, init, scope=scope)
                 sig.append(
                     (
@@ -85,11 +87,12 @@ def _placement_of(buf) -> tuple:
     )
 
 
-def _alloc_signature(setup, initiators):
+def _alloc_signature(setup, initiators, before=_no_bump):
     """Placement decisions of a fixed allocation sequence."""
     sig = []
     buffers = []
     for i in range(40):
+        before()
         buf = setup.allocator.mem_alloc(
             ALLOC_SIZE * (1 + i % 7),
             ATTRS[i % len(ATTRS)],
@@ -120,28 +123,29 @@ def _check_batch_matches_singles(preset: str) -> None:
     """A batch places every buffer as the same requests one at a time do."""
     for mixed in (False, True):
         requests = _batch_requests(mixed)
-        batch = _build(preset, cached=True).allocator.mem_alloc_many(requests)
-        single = _build(preset, cached=True).allocator
+        batch = repro.quick_setup(preset).allocator.mem_alloc_many(requests)
+        single = repro.quick_setup(preset).allocator
         singles = [single.mem_alloc(r.size, r.attribute, r.initiator) for r in requests]
         assert [_placement_of(b) for b in batch] == [
             _placement_of(b) for b in singles
         ], f"{preset}: mem_alloc_many diverged from mem_alloc (mixed={mixed})"
 
 
-def _measure_rank_qps(setup, initiators, loops: int) -> float:
+def _measure_rank_qps(setup, initiators, loops: int, before=_no_bump) -> float:
     queries = 0
     start = time.perf_counter()
     for _ in range(loops):
         for attr in ATTRS:
             for init in initiators:
+                before()
                 setup.allocator.rank_for(attr, init)
                 queries += 1
     return queries / (time.perf_counter() - start)
 
 
-def _measure_alloc_aps(setup, loops: int) -> float:
+def _measure_alloc_aps(setup, loops: int, before=_no_bump) -> float:
     # Steady-state measurement: bind the entry points once (we measure
-    # the allocator, not the attribute lookup) and warm the plan cache
+    # the allocator, not the attribute lookup) and warm the plan memo
     # and recycling pool before the clock starts.
     mem_alloc = setup.allocator.mem_alloc
     free = setup.allocator.free
@@ -149,11 +153,14 @@ def _measure_alloc_aps(setup, loops: int) -> float:
         free(mem_alloc(ALLOC_SIZE, "Bandwidth", 0))
     start = time.perf_counter()
     for _ in range(loops):
+        before()
         free(mem_alloc(ALLOC_SIZE, "Bandwidth", 0))
     return loops / (time.perf_counter() - start)
 
 
-def _measure_batch_aps(setup, rounds: int, *, mixed: bool = False) -> float:
+def _measure_batch_aps(
+    setup, rounds: int, *, mixed: bool = False, before=_no_bump
+) -> float:
     requests = _batch_requests(mixed)
     mem_alloc_many = setup.allocator.mem_alloc_many
     free = setup.allocator.free
@@ -161,6 +168,7 @@ def _measure_batch_aps(setup, rounds: int, *, mixed: bool = False) -> float:
         free(buf)
     start = time.perf_counter()
     for _ in range(rounds):
+        before()
         buffers = mem_alloc_many(requests)
         for buf in buffers:
             free(buf)
@@ -169,49 +177,50 @@ def _measure_batch_aps(setup, rounds: int, *, mixed: bool = False) -> float:
 
 def _run_preset(preset: str, ledger, prefix: str):
     """Check identities, time every path and record the rows; returns the
-    speedups and the (cached, uncached) rates per path."""
-    cached = _build(preset, cached=True)
-    uncached = _build(preset, cached=False)
-    initiators = _initiators(cached)
+    speedups and the (memo, rebuilt) rates per path."""
+    memo = repro.quick_setup(preset)
+    rebuilt = repro.quick_setup(preset)
+    bump = rebuilt.memattrs.notify_topology_event
+    initiators = _initiators(memo)
 
-    # Identity first (also warms the cache): cached answers must be
-    # bit-identical to uncached ones, including on a warm second pass.
-    rank_cold = _rank_signature(cached, initiators)
-    rank_warm = _rank_signature(cached, initiators)
-    rank_plain = _rank_signature(uncached, initiators)
-    assert rank_cold == rank_plain, f"{preset}: cached ranking diverged"
+    # Identity first (also warms the memo): memoized answers must be
+    # bit-identical to rebuilt ones, including on a warm second pass.
+    rank_cold = _rank_signature(memo, initiators)
+    rank_warm = _rank_signature(memo, initiators)
+    rank_plain = _rank_signature(rebuilt, initiators, bump)
+    assert rank_cold == rank_plain, f"{preset}: memoized ranking diverged"
     assert rank_warm == rank_plain, f"{preset}: warm ranking diverged"
-    alloc_cached = _alloc_signature(cached, initiators)
-    alloc_plain = _alloc_signature(uncached, initiators)
-    assert alloc_cached == alloc_plain, f"{preset}: cached placement diverged"
+    alloc_memo = _alloc_signature(memo, initiators)
+    alloc_plain = _alloc_signature(rebuilt, initiators, bump)
+    assert alloc_memo == alloc_plain, f"{preset}: memoized placement diverged"
     _check_batch_matches_singles(preset)
 
     rates = {
         "ranking": (
-            _measure_rank_qps(cached, initiators, LOOPS["rank_loops"]),
-            _measure_rank_qps(uncached, initiators, LOOPS["rank_loops"]),
+            _measure_rank_qps(memo, initiators, LOOPS["rank_loops"]),
+            _measure_rank_qps(rebuilt, initiators, LOOPS["rank_loops_rebuilt"], bump),
         ),
         "alloc": (
-            _measure_alloc_aps(cached, LOOPS["alloc_loops"]),
-            _measure_alloc_aps(uncached, LOOPS["alloc_loops_uncached"]),
+            _measure_alloc_aps(memo, LOOPS["alloc_loops"]),
+            _measure_alloc_aps(rebuilt, LOOPS["alloc_loops_rebuilt"], bump),
         ),
         "batch": (
-            _measure_batch_aps(cached, LOOPS["batch_rounds"]),
-            _measure_batch_aps(uncached, LOOPS["batch_rounds_uncached"]),
+            _measure_batch_aps(memo, LOOPS["batch_rounds"]),
+            _measure_batch_aps(rebuilt, LOOPS["batch_rounds_rebuilt"], before=bump),
         ),
     }
     speedups = {}
     for kind, (warm, cold) in rates.items():
         speedups[kind] = warm / cold
         ledger.row(f"{prefix}.{kind}.cached_per_s", warm, "1/s", "higher", "wall")
-        ledger.row(f"{prefix}.{kind}.uncached_per_s", cold, "1/s", "higher", "wall")
+        ledger.row(f"{prefix}.{kind}.rebuilt_per_s", cold, "1/s", "higher", "wall")
         ledger.row(f"{prefix}.{kind}.speedup", warm / cold, "ratio", "higher", "wall")
     ledger.row(
         f"{prefix}.batch.mixed_attr_per_s",
-        _measure_batch_aps(cached, LOOPS["batch_rounds"], mixed=True),
+        _measure_batch_aps(memo, LOOPS["batch_rounds"], mixed=True),
         "1/s", "higher", "wall",
     )
-    stats = cached.allocator.cache_stats()
+    stats = memo.allocator.cache_stats()
     ledger.row(f"{prefix}.cache.hits", stats["hits"], "count", "higher", "count")
     ledger.row(f"{prefix}.cache.misses", stats["misses"], "count", "lower", "count")
     ledger.row(
@@ -226,12 +235,12 @@ def test_xeon_throughput(record, ledger):
         "alloc_throughput_xeon",
         "\n".join(
             f"{kind:>8}: cached {round(warm):>9,}/s"
-            f"  uncached {round(cold):>9,}/s"
+            f"  rebuilt {round(cold):>9,}/s"
             f"  speedup {speedups[kind]:.1f}x"
             for kind, (warm, cold) in rates.items()
         ),
     )
-    # Acceptance: >= 5x with a warm cache on the Xeon preset.
+    # Acceptance: >= 5x with a warm memo on the Xeon preset.
     assert speedups["ranking"] >= 5.0
     assert speedups["alloc"] >= 5.0
 

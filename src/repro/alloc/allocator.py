@@ -12,16 +12,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..core.api import MemAttrs, TargetValue
-from ..core.querycache import MISSING
 from ..core.ranking import rank_targets
-from ..errors import AllocationError, CapacityError, SpecError, TopologyError
+from ..errors import AllocationError, CapacityError, SpecError
 from ..kernel.migration import MigrationReport
 from ..kernel.pagealloc import KernelMemoryManager, PageAllocation
 from ..kernel.policy import bind_policy
 from ..obs import OBS
 from ..sim.access import Placement
 from ..topology.objects import TopoObject
-from ..topology.traversal import as_cpuset
+from ..topology.traversal import as_cpuset, get_local_numanode_objs
 from .fallback import attribute_fallback_chain
 
 __all__ = ["AllocRequest", "Buffer", "HeterogeneousAllocator"]
@@ -45,7 +44,7 @@ class AllocRequest:
     scope: str = "local"
 
 
-@dataclass
+@dataclass(slots=True)
 class Buffer:
     """A buffer placed by the heterogeneous allocator."""
 
@@ -57,9 +56,9 @@ class Buffer:
     target: TopoObject | None          # primary target (None if fully split)
     fallback_rank: int                 # 0 = got the best target
     initiator: tuple[int, ...]
-    # Memoized plan whose pool this buffer returns to when freed; None
-    # for named, spilled or migrated buffers, for buffers off the plan's
-    # first online entry, and while the plan memo is off.
+    # Plan whose pool this buffer's allocation returns to when freed;
+    # None for named, spilled or migrated buffers and for buffers off
+    # the plan's first online entry.
     _plan: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -84,50 +83,62 @@ class Buffer:
         )
 
 
-#: Upper bound on recycled buffers kept per allocation plan.  Large
+#: Upper bound on recycled allocations kept per allocation plan.  Large
 #: enough that a freed batch can be recycled wholesale, small enough
 #: that pools stay negligible next to the page bookkeeping itself.
 _POOL_MAX = 256
 
+#: Upper bound on memoized plans.  The memo is keyed by the request's
+#: raw spelling (attribute case, initiator form), so a client cycling
+#: spellings would otherwise grow it without limit; the oldest plan is
+#: dropped first.
+_PLANS_MAX = 4096
+
 
 class _AllocPlan:
-    """One resolved allocation plan: the ranking of a ``(attribute,
-    initiator, scope)`` triple, flattened for the placement walk.
+    """One request's answer: the ranking of an ``(attribute, initiator,
+    scope)`` triple, flattened for the placement walk.
 
     A plan is valid only while ``generation`` matches the attribute
     store's — attribute updates *and* topology events (offline/online,
     co-tenant capacity shifts) bump the generation, so a stale plan can
     never place onto a dead node or follow an outdated ranking.
 
-    ``targets`` is the full ranking (best first).  ``entries`` holds its
-    online members as ``(node_state, os_index, target, bind_policy,
-    rank)`` tuples: everything the first-fit walk needs without touching
-    the topology, the policy constructor, or the query cache.
-    ``state``/``node`` name the first online entry.  ``pool`` recycles
-    freed buffers this plan placed on ``node`` (object + name + kernel
-    allocation record), so a warm alloc/free cycle is a handful of
-    counter updates.
+    ``used_attr``/``ranked`` are what :meth:`HeterogeneousAllocator.rank_for`
+    returns: the attribute after fallback and its ranked targets (best
+    first).  ``entries`` holds the online targets as ``(node_state,
+    os_index, target, bind_policy, rank)`` tuples: everything the
+    first-fit walk needs without touching the topology or the policy
+    constructor.  ``state``/``node``/``target``/``rank`` name the first
+    online entry.  ``pool`` recycles the kernel allocation records of
+    freed buffers this plan placed on ``node``, so a warm alloc/free
+    cycle is a handful of counter updates and one new :class:`Buffer`.
     """
 
     __slots__ = (
         "generation",
         "used_attr",
-        "targets",
+        "ranked",
         "entries",
         "state",
         "node",
+        "target",
+        "rank",
         "initiator_pus",
         "pool",
     )
 
-    def __init__(self, generation, used_attr, targets, entries, initiator_pus):
+    def __init__(self, generation, used_attr, ranked, entries, initiator_pus):
         self.generation = generation
         self.used_attr = used_attr
-        self.targets = targets
+        self.ranked = ranked
         self.entries = entries
-        self.state, self.node = entries[0][:2] if entries else (None, -1)
+        if entries:
+            self.state, self.node, self.target, _, self.rank = entries[0]
+        else:
+            self.state, self.node, self.target, self.rank = None, -1, None, -1
         self.initiator_pus = initiator_pus
-        self.pool: list[Buffer] = []
+        self.pool: list[PageAllocation] = []
 
 
 class HeterogeneousAllocator:
@@ -147,20 +158,18 @@ class HeterogeneousAllocator:
         self.memattrs = memattrs
         self.kernel = kernel
         self._attribute_fallback = attribute_fallback
-        self._overrides_key = (
-            None
-            if attribute_fallback is None
-            else tuple(sorted((k, tuple(v)) for k, v in attribute_fallback.items()))
-        )
         self.tie_tolerance = tie_tolerance
         self.tie_attr = tie_attr
         self.buffers: dict[str, Buffer] = {}
-        # Plan memo: (attribute, initiator, scope) -> _AllocPlan.
-        # Entries self-invalidate via the generation check; the dict itself
-        # only grows with the number of distinct request triples.
+        # Plan memo: (attribute, initiator, scope) -> _AllocPlan, at most
+        # _PLANS_MAX entries.  The one memo of a request's answer:
+        # rank_for and mem_alloc read the same entry, and the generation
+        # check is its only staleness rule.
         self._plans: dict[tuple, _AllocPlan] = {}
+        self._plan_hits = 0
+        self._plan_misses = 0
+        self._plan_evictions = 0
         # Hot-path aliases: one attribute load instead of two per call.
-        self._qc = memattrs.query_cache
         self._kernel_live = kernel._live
         self._page_size = kernel.page_size
         # Topology events (node offline/online, co-tenant capacity shifts)
@@ -183,70 +192,22 @@ class HeterogeneousAllocator:
         or in another DRAM?", answerable once benchmarking measured the
         remote pairs.  Returns ``(used_attribute_name, ranked_targets)``.
 
-        The resolved ``(used_attribute, ranking)`` pair is memoized in
-        the MemAttrs query cache (family ``"alloc_rank"``) keyed by its
-        generation.  ``mem_alloc`` builds its allocation plans from it;
-        ``migrate``, the planners, the serve ``query`` verb and the
-        resilient allocator call it directly.
+        The answer is the request's allocation plan, the same memo entry
+        ``mem_alloc`` walks; a plan older than the attribute store's
+        generation is rebuilt.  ``migrate``, the planners, the serve
+        ``query`` verb and the resilient allocator call this directly,
+        and only these calls count in :meth:`cache_stats`.
         """
-        if scope not in ("local", "machine"):
-            raise AllocationError(f"unknown scope {scope!r}")
-        cache_key = self._rank_for_cache_key(attribute, initiator, scope)
-        if cache_key is not None:
-            cached = self.memattrs.query_cache.get("alloc_rank", cache_key)
-            if cached is not MISSING:
-                return cached
-        if scope == "local":
-            # Memoryless-initiator fallback: a CPU whose package has no
-            # memory at all (CPU-only NUMA nodes exist) allocates from the
-            # whole machine, like the kernel's zonelist would.
-            local = self.memattrs.get_local_numanode_objs(initiator)
-            targets = local if local else self.memattrs.topology.numanodes()
-        else:
-            targets = self.memattrs.topology.numanodes()
-        chain = attribute_fallback_chain(
-            self.memattrs, attribute, overrides=self._attribute_fallback
-        )
-        for attr in chain:
-            if not self.memattrs.has_values(attr):
-                continue
-            ranked = rank_targets(
-                self.memattrs,
-                attr,
-                initiator,
-                targets=targets,
-                tie_attr=self.tie_attr if self.tie_attr != attr.name else None,
-                tie_tolerance=self.tie_tolerance,
-            )
-            if ranked:
-                if cache_key is not None:
-                    self.memattrs.query_cache.store(
-                        "alloc_rank", cache_key, (attr.name, ranked)
-                    )
-                return attr.name, ranked
-        raise AllocationError(
-            f"no attribute in the fallback chain of {attribute!r} has values "
-            "for any local target"
-        )
-
-    def _rank_for_cache_key(self, attribute: str, initiator, scope: str):
-        """Key for one resolved ranking, or ``None`` when uncacheable (the
-        uncached path then raises exactly as before)."""
         try:
-            init_key = as_cpuset(
-                self.memattrs.topology, initiator, cache=self.memattrs.query_cache
-            )
-        except TopologyError:
-            return None
-        return (
-            self.memattrs.generation,
-            attribute.lower() if isinstance(attribute, str) else attribute,
-            init_key,
-            scope,
-            self.tie_attr,
-            self.tie_tolerance,
-            self._overrides_key,
-        )
+            plan = self._plans.get((attribute, initiator, scope))
+        except TypeError:      # unhashable initiator: never memoized
+            plan = None
+        if plan is not None and plan.generation == self.memattrs._generation:
+            self._plan_hits += 1
+        else:
+            self._plan_misses += 1
+            plan = self._build_plan(attribute, initiator, scope)
+        return plan.used_attr, plan.ranked
 
     # ------------------------------------------------------------------
     def mem_alloc(
@@ -337,72 +298,58 @@ class HeterogeneousAllocator:
     ) -> Buffer:
         """The placement route every allocation takes.
 
-        Memo probe, validate, plan, place, fail — in that order.  While
+        Validate, memo probe, plan, place, fail — in that order.  While
         telemetry is on, a recycled commit counts in the kernel's
         counters, sampled in or not, since it never reaches the kernel.
         """
+        if size <= 0:
+            raise AllocationError("allocation size must be positive")
+        bufname = name or f"buf{next(_buffer_ids)}"
+        if bufname in self.buffers:
+            raise AllocationError(f"buffer name {bufname!r} already in use")
         try:
             plan = self._plans.get((attribute, initiator, scope))
         except TypeError:      # unhashable initiator: never memoized
             plan = None
-        if plan is None:
-            pass               # nothing memoized for this triple yet
-        elif plan.generation != self.memattrs._generation or not self._qc.enabled:
-            plan = None
+        if plan is None or plan.generation != self.memattrs._generation:
+            plan = self._build_plan(attribute, initiator, scope)
         elif name is None and allow_fallback and not allow_partial:
-            # Memo of the plan's first-fit answer: a pooled buffer of this
-            # size back on the first online entry.  A hit implies a valid
-            # plan, no name and a positive size, so it may precede the
-            # checks below.
+            # Memo of the plan's first-fit answer: a pooled allocation of
+            # this size back on the first online entry, under a new
+            # Buffer (a freed handle never comes back as someone else's).
             pool = plan.pool
             if pool:
-                buf = pool[-1]
-                alloc = buf.allocation
+                alloc = pool[-1]
                 if alloc.size_bytes == size:
                     state = plan.state
                     pages = alloc.pages_by_node[plan.node]
-                    if (
-                        state.free_pages >= pages
-                        and self.buffers.setdefault(buf.name, buf) is buf
-                    ):
+                    if state.free_pages >= pages:
                         del pool[-1]
                         state.free_pages -= pages
                         alloc.freed = False
                         self._kernel_live[alloc.allocation_id] = alloc
                         if OBS.enabled:
                             self.kernel._count_commit(pages)
-                        return buf
-
-        if size <= 0:
-            raise AllocationError("allocation size must be positive")
-        bufname = name or f"buf{next(_buffer_ids)}"
-        if bufname in self.buffers:
-            raise AllocationError(f"buffer name {bufname!r} already in use")
-
-        memo = plan is not None
-        if not memo:
-            plan = self._build_plan(attribute, initiator, scope)
-            # Memoize only while the query cache is on: turning it off
-            # means "re-derive everything", plans included.
-            if self._qc.enabled:
-                try:
-                    self._plans[(attribute, initiator, scope)] = plan
-                    memo = True
-                except TypeError:
-                    pass
+                        buffer = Buffer(
+                            bufname, size, attribute, plan.used_attr, alloc,
+                            plan.target, plan.rank, plan.initiator_pus, plan,
+                        )
+                        self.buffers[bufname] = buffer
+                        return buffer
 
         pages = -(-size // self._page_size)
         entries = plan.entries
         if not allow_fallback:
             # Strict binding: the original best target, while it is online.
-            entries = entries[:1] if plan.node == plan.targets[0].os_index else ()
+            best = plan.ranked[0].target
+            entries = entries[:1] if plan.node == best.os_index else ()
         if allow_partial:
             # Greedy spill down the ranking ("at least partially", §VII).
             if sum(entry[0].free_pages for entry in entries) >= pages:
                 allocation = self.kernel.allocate_ordered(
                     size, tuple(entry[1] for entry in entries)
                 )
-                best = plan.targets[0]
+                best = plan.ranked[0].target
                 frac = allocation.fraction_on(best.os_index)
                 buffer = Buffer(
                     name=bufname,
@@ -430,37 +377,85 @@ class HeterogeneousAllocator:
                         fallback_rank=rank,
                         initiator=plan.initiator_pus,
                     )
-                    if memo and name is None and node == plan.node:
+                    if name is None and node == plan.node:
                         # Pool-eligible when freed: unnamed, whole-buffer,
                         # on the plan's first online entry.
                         buffer._plan = plan
                     self.buffers[bufname] = buffer
                     return buffer
 
-        targets = plan.targets if allow_fallback else plan.targets[:1]
+        ranked = plan.ranked if allow_fallback else plan.ranked[:1]
         raise CapacityError(
             f"cannot place {size} bytes for attribute {attribute!r}: "
             + "; ".join(
-                f"{t.label} free={self.kernel.free_bytes(t.os_index)}"
-                for t in targets
+                f"{tv.target.label} free={self.kernel.free_bytes(tv.target.os_index)}"
+                for tv in ranked
             )
         )
 
     def _build_plan(self, attribute, initiator, scope) -> _AllocPlan:
-        """Resolve one request triple into a fresh plan."""
-        initiator_pus = self._initiator_pus(initiator)
-        used_attr, ranked = self.rank_for(attribute, initiator, scope=scope)
+        """Resolve one request triple into a fresh plan and memoize it.
+
+        The paper's flow, re-derived from the attribute store: the
+        initiator's PUs, its local targets (``scope="local"``) or every
+        node (``"machine"``), then the first attribute of the fallback
+        chain that ranks any of them.
+        """
+        topology = self.memattrs.topology
+        cpuset = as_cpuset(topology, initiator)
+        if cpuset.is_empty():
+            raise AllocationError("initiator has no PUs")
+        if scope == "local":
+            # Memoryless-initiator fallback: a CPU whose package has no
+            # memory at all (CPU-only NUMA nodes exist) allocates from the
+            # whole machine, like the kernel's zonelist would.
+            targets = get_local_numanode_objs(topology, cpuset) or topology.numanodes()
+        elif scope == "machine":
+            targets = topology.numanodes()
+        else:
+            raise AllocationError(f"unknown scope {scope!r}")
+        chain = attribute_fallback_chain(
+            self.memattrs, attribute, overrides=self._attribute_fallback
+        )
+        for attr in chain:
+            if not self.memattrs.has_values(attr):
+                continue
+            ranked = rank_targets(
+                self.memattrs,
+                attr,
+                initiator,
+                targets=targets,
+                tie_attr=self.tie_attr if self.tie_attr != attr.name else None,
+                tie_tolerance=self.tie_tolerance,
+            )
+            if ranked:
+                break
+        else:
+            raise AllocationError(
+                f"no attribute in the fallback chain of {attribute!r} has values "
+                "for any local target"
+            )
         nodes = self.kernel.nodes
         offline = self.kernel._offline
-        targets = tuple(tv.target for tv in ranked)
         entries = tuple(
             (nodes[t.os_index], t.os_index, t, bind_policy(t.os_index), rank)
-            for rank, t in enumerate(targets)
+            for rank, t in enumerate(tv.target for tv in ranked)
             if t.os_index not in offline
         )
-        return _AllocPlan(
-            self.memattrs._generation, used_attr, targets, entries, initiator_pus
+        plan = _AllocPlan(
+            self.memattrs._generation, attr.name, ranked, entries, tuple(cpuset)
         )
+        plans = self._plans
+        key = (attribute, initiator, scope)
+        try:
+            if key not in plans and len(plans) >= _PLANS_MAX:
+                # FIFO: dicts keep insertion order, so the oldest goes first.
+                del plans[next(iter(plans))]
+                self._plan_evictions += 1
+            plans[key] = plan
+        except TypeError:      # unhashable initiator: never memoized
+            pass
+        return plan
 
     def mem_alloc_many(
         self,
@@ -533,14 +528,34 @@ class HeterogeneousAllocator:
         return tuple(placed)
 
     def cache_stats(self) -> dict:
-        """Hit/miss/invalidation counters of the shared query cache."""
-        return self.memattrs.cache_stats()
+        """Counters of the plan memo as :meth:`rank_for` reads it.
+
+        ``hits``/``misses`` count ``rank_for`` calls answered by a valid
+        plan or by a rebuilt one (``mem_alloc``'s own memo reads are not
+        counted); ``entries`` is the number of plans held, ``evictions``
+        how many the bound dropped.  ``families`` keeps the one family,
+        ``alloc_rank``, for readers of the per-family layout.
+        """
+        lookups = self._plan_hits + self._plan_misses
+        memo = {
+            "hits": self._plan_hits,
+            "misses": self._plan_misses,
+            "entries": len(self._plans),
+            "hit_rate": self._plan_hits / lookups if lookups else 0.0,
+        }
+        return {
+            **memo,
+            "evictions": self._plan_evictions,
+            "generation": self.memattrs.generation,
+            "families": {"alloc_rank": dict(memo)},
+        }
 
     def free(self, buffer: Buffer | str) -> None:
         # Fast release: a live buffer with a plan returns its pages
-        # straight to the plan's node counter and parks itself in the
-        # plan's pool for recycling.  Everything else (names, split or
-        # moved buffers, double frees) goes through the kernel below.
+        # straight to the plan's node counter and parks its allocation
+        # record in the plan's pool for recycling.  Everything else
+        # (names, split or moved buffers, double frees) goes through the
+        # kernel below.
         if buffer.__class__ is Buffer:
             plan = buffer._plan
             if plan is not None:
@@ -555,7 +570,7 @@ class HeterogeneousAllocator:
                         plan.state.free_pages += pages
                         pool = plan.pool
                         if len(pool) < _POOL_MAX:
-                            pool.append(buffer)
+                            pool.append(alloc)
                         return
                     if got is not None:
                         # A different live buffer owns this name (the
@@ -621,15 +636,3 @@ class HeterogeneousAllocator:
             return self.buffers[key]
         except KeyError:
             raise AllocationError(f"unknown buffer {key!r}") from None
-
-    def _initiator_pus(self, initiator) -> tuple[int, ...]:
-        cache = self.memattrs.query_cache
-        cpuset = as_cpuset(self.memattrs.topology, initiator, cache=cache)
-        pus = cache.get("initiator_pus", cpuset)
-        if pus is not MISSING:
-            return pus
-        if cpuset.is_empty():
-            raise AllocationError("initiator has no PUs")
-        pus = tuple(cpuset)
-        cache.store("initiator_pus", cpuset, pus)
-        return pus

@@ -37,8 +37,8 @@ def attribute_fallback_chain(
     """The requested attribute followed by its fallbacks, resolved.
 
     Unknown names raise; custom attributes without a configured chain
-    fall back to Capacity.  Not memoized: the allocator's
-    ``"alloc_rank"`` memo holds the ranking a chain leads to.
+    fall back to Capacity.  Not memoized: the allocator's plan memo
+    holds the ranking a chain leads to.
     """
     attr = memattrs.get_by_name(
         attribute if isinstance(attribute, str) else attribute.name

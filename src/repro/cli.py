@@ -26,7 +26,7 @@ import sys
 
 from .alloc import HeterogeneousAllocator
 from .bench import characterize_machine, feed_attributes
-from .core import MemAttrs, discover_from_sysfs, render_cache_stats, render_memattrs
+from .core import MemAttrs, discover_from_sysfs, render_memattrs
 from .errors import ReproError
 from .firmware import build_sysfs
 from .hw import PLATFORM_REGISTRY, get_platform
@@ -131,9 +131,27 @@ def main(argv: list[str] | None = None) -> int:
                     except ReproError:
                         continue
             print("\nQuery-cache statistics:")
-            print(render_cache_stats(memattrs.cache_stats()))
+            print(render_cache_stats(allocator.cache_stats()))
             print(f"generation: {memattrs.generation}")
     return 0
+
+
+def render_cache_stats(stats: dict) -> str:
+    """The ``--cache-stats`` table of :meth:`HeterogeneousAllocator.cache_stats`."""
+    lines = [
+        f"{'family':<18} {'hits':>8} {'misses':>8} {'entries':>8} {'hit rate':>9}"
+    ]
+    for family, s in sorted(stats["families"].items()):
+        lines.append(
+            f"{family:<18} {s['hits']:>8} {s['misses']:>8} "
+            f"{s['entries']:>8} {s['hit_rate']:>8.1%}"
+        )
+    lines.append(
+        f"{'total':<18} {stats['hits']:>8} {stats['misses']:>8} "
+        f"{stats['entries']:>8} {stats['hit_rate']:>8.1%}"
+    )
+    lines.append(f"evictions: {stats['evictions']}")
+    return "\n".join(lines)
 
 
 def build_search_parser() -> argparse.ArgumentParser:

@@ -34,14 +34,8 @@ from .attrs import (
     WRITE_LATENCY,
     BUILTIN_ATTRIBUTES,
 )
-from .api import MemAttrs
+from .api import MemAttrs, consistent_read
 from .discovery import discover_from_sysfs, native_discovery
-from .querycache import (
-    CacheStats,
-    QueryCache,
-    consistent_read,
-    render_cache_stats,
-)
 from .ranking import rank_targets
 from .custom import register_derived_attribute, stream_triad_attribute
 from .dynamic import (
@@ -70,10 +64,7 @@ __all__ = [
     "MemAttrs",
     "discover_from_sysfs",
     "native_discovery",
-    "CacheStats",
-    "QueryCache",
     "consistent_read",
-    "render_cache_stats",
     "rank_targets",
     "register_derived_attribute",
     "stream_triad_attribute",

@@ -15,12 +15,15 @@ win.  Queries with a non-matching initiator raise
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from ..errors import (
     AttributeFlagError,
     NoTargetError,
     NoValueError,
+    ReproError,
     UnknownAttributeError,
 )
 from ..obs import OBS
@@ -39,9 +42,10 @@ from .attrs import (
     MemAttrFlag,
     MemAttribute,
 )
-from .querycache import QueryCache
 
-__all__ = ["MemAttrs", "TargetValue"]
+__all__ = ["MemAttrs", "TargetValue", "consistent_read"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -73,18 +77,43 @@ class _Store:
         return tuple(sorted(self.values.get(attr_id, {})))
 
 
+def consistent_read(
+    read: Callable[[], _T],
+    generation: Callable[[], int],
+    *,
+    max_retries: int = 8,
+) -> tuple[_T, int]:
+    """Seqlock-style read: retry ``read()`` until the generation is stable.
+
+    A multi-part query (ranking + per-target values + free capacity) is
+    only meaningful if the attribute store did not change *between* its
+    parts.  This samples ``generation()`` (typically
+    :attr:`MemAttrs.generation`) before and after ``read()`` and retries
+    on mismatch, returning ``(value, generation)`` — the generation tag
+    the ``repro.serve`` query verb stamps on responses so clients can
+    correlate answers with attribute epochs.  Raises
+    :class:`~repro.errors.ReproError` if the store keeps changing for
+    ``max_retries`` attempts (a writer livelock).
+    """
+    for _ in range(max_retries):
+        before = generation()
+        value = read()
+        if generation() == before:
+            return value, before
+    raise ReproError(
+        f"attribute store generation kept changing across {max_retries} "
+        "read attempts"
+    )
+
+
 class MemAttrs:
     """Memory attributes of one topology."""
 
-    def __init__(self, topology: Topology, *, query_cache: QueryCache | None = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._attrs: dict[str, MemAttribute] = {}
         self._store = _Store()
         self._next_custom_id = 64  # leave room below for future builtins
-        #: Memoized query engine; every value-dependent key embeds
-        #: :attr:`generation`, so entries recorded before a mutation can
-        #: never be served after.
-        self.query_cache = query_cache if query_cache is not None else QueryCache()
         self._generation = 0
         for attr in BUILTIN_ATTRIBUTES:
             self._attrs[attr.name.lower()] = attr
@@ -92,21 +121,15 @@ class MemAttrs:
 
     @property
     def generation(self) -> int:
-        """Bumped on every ``set_value``/``register``; cached query answers
-        are keyed by it, which is what invalidates them."""
+        """Bumped on every value or registry change and on every topology
+        event; an answer derived from the store (the allocator's plans)
+        is valid only while the generation it was derived at is current."""
         return self._generation
 
     def _bump_generation(self) -> None:
         self._generation += 1
-        self.query_cache.invalidate()
         if OBS.enabled:
             OBS.metrics.counter("core.generation_bumps").inc()
-
-    def cache_stats(self) -> dict:
-        """Hit/miss/invalidation counters of the query engine."""
-        stats = self.query_cache.stats()
-        stats["generation"] = self._generation
-        return stats
 
     def notify_topology_event(
         self, event: str = "topology", node: int | None = None
@@ -218,9 +241,7 @@ class MemAttrs:
                 raise AttributeFlagError(
                     f"attribute {attr.name} needs an initiator"
                 )
-            key: Bitmap | None = as_cpuset(
-                self.topology, initiator, cache=self.query_cache
-            )
+            key: Bitmap | None = as_cpuset(self.topology, initiator)
         else:
             if initiator is not None:
                 raise AttributeFlagError(
@@ -250,7 +271,7 @@ class MemAttrs:
             return per_initiator[None]
         if initiator is None:
             raise AttributeFlagError(f"attribute {attr.name} needs an initiator")
-        cpuset = as_cpuset(self.topology, initiator, cache=self.query_cache)
+        cpuset = as_cpuset(self.topology, initiator)
         match = self._match_initiator(per_initiator, cpuset)
         if match is None:
             raise NoValueError(
@@ -295,9 +316,7 @@ class MemAttrs:
         self, initiator, flags: LocalNumanodeFlags | None = None
     ) -> tuple[TopoObject, ...]:
         """Memory targets local to an initiator (Fig. 4, first call)."""
-        return get_local_numanode_objs(
-            self.topology, initiator, flags, cache=self.query_cache
-        )
+        return get_local_numanode_objs(self.topology, initiator, flags)
 
     def get_best_target(
         self,

@@ -6,8 +6,8 @@ primary attribute ties (KNL: DRAM and HBM latencies are similar), break
 the tie with another attribute (capacity — don't burn scarce HBM when it
 buys nothing).
 
-Nothing here is memoized: the heterogeneous allocator's ``rank_for``
-lands here only when its own ``"alloc_rank"`` memo misses.
+Nothing here is memoized: the heterogeneous allocator lands here only
+when it builds an allocation plan, the memo of each request's ranking.
 """
 
 from __future__ import annotations

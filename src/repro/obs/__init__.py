@@ -4,9 +4,9 @@ The paper's workflow (profile → attribute → place) depends on *seeing*
 what the memory subsystem is doing.  This package is the runtime
 telemetry layer: a :class:`~repro.obs.tracer.Tracer` of nested wall-time
 spans and a :class:`~repro.obs.metrics.MetricsRegistry` of counters,
-gauges and histograms, threaded through the allocator, the query cache,
-the pricing engine, the placement search, the kernel layer, and the
-online guidance loop (``pebs.*`` / ``guidance.*`` counters).
+gauges and histograms, threaded through the allocator, the attribute
+store, the pricing engine, the placement search, the kernel layer, and
+the online guidance loop (``pebs.*`` / ``guidance.*`` counters).
 
 **The cardinal rule: observation never perturbs the system.**  Every
 instrumentation site is behind the process-global :data:`OBS` guard::

@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+from .tracer import spans_to_chrome
+
 __all__ = [
     "trace_main",
     "build_trace_parser",
@@ -138,31 +140,6 @@ def load_jsonl(path: str) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise SystemExit(f"{path}:{lineno}: not JSON: {exc}") from None
     return spans
-
-
-def spans_to_chrome(spans: list[dict], *, pid: int = 1, tid: int = 1) -> dict:
-    """Chrome trace_event document from archived span dicts."""
-    events = []
-    for span in spans:
-        if span.get("end") is None:
-            continue
-        events.append(
-            {
-                "name": span["name"],
-                "cat": "repro",
-                "ph": "X",
-                "ts": span["start"] * 1e6,
-                "dur": (span["end"] - span["start"]) * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": {
-                    **span.get("fields", {}),
-                    "status": span.get("status", "ok"),
-                    "depth": span.get("depth", 0),
-                },
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def summarize(spans: list[dict]) -> str:

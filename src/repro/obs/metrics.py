@@ -13,7 +13,7 @@ one time series.  Invariants the property tests pin down:
   mutates the instruments it renders.
 
 Everything here is deliberately dependency-free: the registry must be
-importable from the lowest layers (``repro.core.querycache``) without
+importable from the lowest layers (``repro.core.api``) without
 dragging the rest of the package in.
 """
 

@@ -28,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["SpanRecord", "Tracer", "to_jsonl", "to_chrome_trace"]
+__all__ = ["SpanRecord", "Tracer", "spans_to_chrome", "to_jsonl", "to_chrome_trace"]
 
 
 @dataclass
@@ -164,19 +164,35 @@ def to_jsonl(tracer: Tracer) -> str:
     ) + ("\n" if tracer.finished() else "")
 
 
-def to_chrome_trace(tracer: Tracer, *, pid: int = 1, tid: int = 1) -> dict:
-    """Chrome ``trace_event`` document (complete events, microseconds)."""
-    events = [
-        {
-            "name": r.name,
-            "cat": "repro",
-            "ph": "X",
-            "ts": r.start * 1e6,
-            "dur": r.duration * 1e6,
-            "pid": pid,
-            "tid": tid,
-            "args": {**r.fields, "status": r.status, "depth": r.depth},
-        }
-        for r in tracer.finished()
-    ]
+def spans_to_chrome(spans: list[dict], *, pid: int = 1, tid: int = 1) -> dict:
+    """Chrome ``trace_event`` document (complete events, microseconds)
+    from span dicts in the :meth:`SpanRecord.as_dict` layout — archived
+    JSONL lines or a live tracer's spans; open spans are skipped."""
+    events = []
+    for span in spans:
+        if span.get("end") is None:
+            continue
+        events.append(
+            {
+                "name": span["name"],
+                "cat": "repro",
+                "ph": "X",
+                "ts": span["start"] * 1e6,
+                "dur": (span["end"] - span["start"]) * 1e6,
+                "pid": pid,
+                "tid": tid,
+                "args": {
+                    **span.get("fields", {}),
+                    "status": span.get("status", "ok"),
+                    "depth": span.get("depth", 0),
+                },
+            }
+        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def to_chrome_trace(tracer: Tracer, *, pid: int = 1, tid: int = 1) -> dict:
+    """Chrome ``trace_event`` document of a tracer's finished spans."""
+    return spans_to_chrome(
+        [r.as_dict() for r in tracer.finished()], pid=pid, tid=tid
+    )

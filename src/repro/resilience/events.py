@@ -71,6 +71,9 @@ class ResilienceLog:
 
     now: int = 0
     _events: list[ResilienceEvent] = field(default_factory=list)
+    # Per-kind tally kept by ``record``, so ``counts()`` costs O(kinds),
+    # not O(events since start).
+    _counts: dict[EventKind, int] = field(default_factory=dict)
 
     def record(
         self, kind: EventKind, subject: str, detail: str = ""
@@ -79,6 +82,7 @@ class ResilienceLog:
             tick=self.now, kind=kind, subject=subject, detail=detail
         )
         self._events.append(event)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
         if OBS.enabled:
             OBS.metrics.counter("resilience.events", kind=kind.value).inc()
         return event
@@ -97,10 +101,8 @@ class ResilienceLog:
         return tuple(e for e in self._events if e.kind in wanted)
 
     def counts(self) -> dict[EventKind, int]:
-        out: dict[EventKind, int] = {}
-        for event in self._events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
+        """Events recorded per kind, in order of each kind's first event."""
+        return dict(self._counts)
 
     def describe(self) -> str:
         return "\n".join(e.describe() for e in self._events)

@@ -130,8 +130,6 @@ class ResilientAllocator:
                 subject or buffer.name,
                 "; ".join(reasons),
             )
-            if OBS.enabled:
-                OBS.metrics.counter("resilience.degraded_placements").inc()
         return tuple(reasons)
 
     def _degradation_reasons(
@@ -227,8 +225,6 @@ class ResilientAllocator:
                         name,
                         f"after {attempt} retries: {err}",
                     )
-                    if OBS.enabled:
-                        OBS.metrics.counter("resilience.migrations_given_up").inc()
                     raise
                 attempt += 1
                 self.simulated_backoff_seconds += delay
@@ -237,8 +233,6 @@ class ResilientAllocator:
                     name,
                     f"attempt {attempt}, backoff {delay:.4f}s",
                 )
-                if OBS.enabled:
-                    OBS.metrics.counter("resilience.migration_retries").inc()
                 delay *= 2
                 continue
             if attempt and OBS.enabled:

@@ -3,7 +3,7 @@
 Two layers, deliberately separable:
 
 * :class:`ServeCore` — a **synchronous** state machine owning the
-  allocator stack (kernel + attributes + query cache), tenant sessions,
+  allocator stack (kernel + attributes + allocation plans), tenant sessions,
   the quota ledger, and the typed event log.  Every kernel mutation goes
   through it; it has no asyncio in it, so the serial replay used by the
   differential suite *is* the production code path, not a lookalike.
@@ -33,7 +33,7 @@ from collections.abc import Callable
 from typing import Any, cast
 
 from ..alloc.allocator import Buffer, HeterogeneousAllocator
-from ..core.querycache import consistent_read
+from ..core.api import consistent_read
 from ..errors import ProtocolError, ReproError, ServeError
 from ..obs import OBS
 from ..resilience.events import EventKind, ResilienceLog

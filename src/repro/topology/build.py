@@ -35,6 +35,11 @@ class Topology:
     srat: Srat
     slit: Slit
     _by_type: dict[ObjType, list[TopoObject]] = field(default_factory=dict)
+    # Memoized answers of ``repro.topology.traversal`` (initiator ->
+    # cpuset, (cpuset, flags) -> local NUMA nodes).  A built topology
+    # never changes, so they cannot go stale.
+    _cpusets: dict = field(default_factory=dict, repr=False, compare=False)
+    _local_nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- indexing -------------------------------------------------------
     def objs(self, type: ObjType) -> tuple[TopoObject, ...]:

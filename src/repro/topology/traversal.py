@@ -49,29 +49,32 @@ class LocalNumanodeFlags(enum.Flag):
         return cls.LARGER | cls.SMALLER
 
 
-def as_cpuset(topology: Topology, initiator, *, cache=None) -> Bitmap:
+#: Each topology memo stops growing at this many answers; later misses
+#: are answered uncached.  Hashable initiators include arbitrary PU
+#: tuples, so without a bound a long-lived topology could grow without
+#: limit.
+_MEMO_MAX = 4096
+
+
+def as_cpuset(topology: Topology, initiator) -> Bitmap:
     """Coerce an initiator (Bitmap, TopoObject, PU index, or iterable of
     PU indices) into a cpuset — initiators in the paper's API are either
     CPU-sets or specific objects.
 
-    ``cache`` is an optional :class:`~repro.core.querycache.QueryCache`
-    (duck-typed to keep this layer free of a ``core`` dependency): the
-    normalization depends only on the immutable topology, so answers for
-    hashable initiators are memoized under the ``"as_cpuset"`` family.
+    The normalization depends only on the immutable topology, so answers
+    for hashable initiators are memoized on the :class:`Topology`.
     """
     if isinstance(initiator, Bitmap):
         return initiator
-    if cache is not None:
-        try:
-            cached = cache.get("as_cpuset", initiator, None)
-        except TypeError:  # unhashable initiator (e.g. a list of PUs)
-            cache = None
-        else:
-            if cached is not None:
-                return cached
-    cpuset = _as_cpuset_uncached(topology, initiator)
-    if cache is not None:
-        cache.store("as_cpuset", initiator, cpuset)
+    memo = topology._cpusets
+    try:
+        cpuset = memo.get(initiator)
+    except TypeError:  # unhashable initiator (e.g. a list of PUs)
+        return _as_cpuset_uncached(topology, initiator)
+    if cpuset is None:
+        cpuset = _as_cpuset_uncached(topology, initiator)
+        if len(memo) < _MEMO_MAX:
+            memo[initiator] = cpuset
     return cpuset
 
 
@@ -96,24 +99,21 @@ def get_local_numanode_objs(
     topology: Topology,
     initiator,
     flags: LocalNumanodeFlags | None = None,
-    *,
-    cache=None,
 ) -> tuple[TopoObject, ...]:
     """Memory targets local to ``initiator`` (paper Fig. 4, first call).
 
     Results are ordered by logical index, like hwloc.  Locality depends
-    only on the immutable topology, so when a ``cache`` is supplied the
-    answer is memoized under the ``"local_nodes"`` family, keyed by the
-    normalized cpuset and flags.
+    only on the immutable topology, so the answer is memoized on the
+    :class:`Topology`, keyed by the normalized cpuset and flags.
     """
-    cpuset = as_cpuset(topology, initiator, cache=cache)
+    cpuset = as_cpuset(topology, initiator)
     if cpuset.is_empty():
         raise TopologyError("initiator cpuset is empty")
     flags = LocalNumanodeFlags.default() if flags is None else flags
-    if cache is not None:
-        cached = cache.get("local_nodes", (cpuset, flags), None)
-        if cached is not None:
-            return cached
+    memo = topology._local_nodes
+    result = memo.get((cpuset, flags))
+    if result is not None:
+        return result
 
     out = []
     for node in topology.numanodes():
@@ -128,8 +128,8 @@ def get_local_numanode_objs(
         elif flags & LocalNumanodeFlags.SMALLER and cpuset.includes(locality):
             out.append(node)
     result = tuple(out)
-    if cache is not None:
-        cache.store("local_nodes", (cpuset, flags), result)
+    if len(memo) < _MEMO_MAX:
+        memo[(cpuset, flags)] = result
     return result
 
 

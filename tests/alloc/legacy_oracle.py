@@ -1,16 +1,17 @@
 """The allocator's legacy placement body, frozen as a test oracle.
 
-Production ``mem_alloc`` walks a memoized allocation plan with a
-recycling pool in front of it.  This module keeps the route that plan
-replaced, unchanged in its decisions: re-derive the initiator's PUs and
-the target ranking on every call, then either spill down the ranking
-with the kernel's ordered primitive or place the whole buffer with the
-kernel's policy allocator on the first target that fits.  The
-differential suite (``test_fastpath_differential.py``) drives it;
-nothing under ``src/`` imports it.
+Production ``mem_alloc``, ``rank_for`` and ``migrate`` read a memoized
+allocation plan with a recycling pool in front of it.  This module keeps
+the route that plan replaced, unchanged in its decisions: re-derive the
+initiator's PUs and the target ranking on every call, then either spill
+down the ranking with the kernel's ordered primitive or place the whole
+buffer with the kernel's policy allocator on the first target that
+fits.  It reads no allocator memo.  The differential suite
+(``test_fastpath_differential.py``) drives it; nothing under ``src/``
+imports it.
 
 Every function takes the :class:`~repro.alloc.HeterogeneousAllocator`
-whose ranking, buffer registry and kernel it uses, so an oracle twin is
+whose settings, buffer registry and kernel it uses, so an oracle twin is
 an ordinary allocator that is only ever driven through this module.
 """
 
@@ -19,10 +20,58 @@ from __future__ import annotations
 import itertools
 
 from repro.alloc.allocator import AllocRequest, Buffer, HeterogeneousAllocator
+from repro.alloc.fallback import attribute_fallback_chain
+from repro.core.ranking import rank_targets
 from repro.errors import AllocationError, CapacityError
 from repro.kernel.policy import bind_policy
+from repro.topology.traversal import as_cpuset
 
 _names = itertools.count(1)
+
+
+def rank_for(
+    allocator: HeterogeneousAllocator,
+    attribute: str,
+    initiator,
+    *,
+    scope: str = "local",
+):
+    """Resolve the attribute (with fallback) and rank targets, from scratch."""
+    memattrs = allocator.memattrs
+    if scope not in ("local", "machine"):
+        raise AllocationError(f"unknown scope {scope!r}")
+    if scope == "local":
+        local = memattrs.get_local_numanode_objs(initiator)
+        targets = local if local else memattrs.topology.numanodes()
+    else:
+        targets = memattrs.topology.numanodes()
+    chain = attribute_fallback_chain(
+        memattrs, attribute, overrides=allocator._attribute_fallback
+    )
+    for attr in chain:
+        if not memattrs.has_values(attr):
+            continue
+        ranked = rank_targets(
+            memattrs,
+            attr,
+            initiator,
+            targets=targets,
+            tie_attr=allocator.tie_attr if allocator.tie_attr != attr.name else None,
+            tie_tolerance=allocator.tie_tolerance,
+        )
+        if ranked:
+            return attr.name, ranked
+    raise AllocationError(
+        f"no attribute in the fallback chain of {attribute!r} has values "
+        "for any local target"
+    )
+
+
+def _initiator_pus(allocator: HeterogeneousAllocator, initiator) -> tuple[int, ...]:
+    cpuset = as_cpuset(allocator.memattrs.topology, initiator)
+    if cpuset.is_empty():
+        raise AllocationError("initiator has no PUs")
+    return tuple(cpuset)
 
 
 def mem_alloc(
@@ -43,8 +92,8 @@ def mem_alloc(
     name = name or f"oracle{next(_names)}"
     if name in allocator.buffers:
         raise AllocationError(f"buffer name {name!r} already in use")
-    initiator_pus = allocator._initiator_pus(initiator)
-    used_attr, ranked = allocator.rank_for(attribute, initiator, scope=scope)
+    initiator_pus = _initiator_pus(allocator, initiator)
+    used_attr, ranked = rank_for(allocator, attribute, initiator, scope=scope)
     if not allow_fallback:
         ranked = ranked[:1]
 
@@ -142,3 +191,22 @@ def free(allocator: HeterogeneousAllocator, buffer: Buffer | str) -> None:
     buffer = allocator._resolve_buffer(buffer)
     allocator.kernel.free(buffer.allocation)
     del allocator.buffers[buffer.name]
+
+
+def migrate(allocator: HeterogeneousAllocator, buffer: Buffer | str, attribute: str):
+    """Move a buffer to the first target of a fresh ranking that absorbs it."""
+    buffer = allocator._resolve_buffer(buffer)
+    used_attr, ranked = rank_for(allocator, attribute, buffer.initiator)
+    kernel = allocator.kernel
+    for tv in ranked:
+        node = tv.target.os_index
+        needed = buffer.size * (1 - buffer.allocation.fraction_on(node))
+        if kernel.free_bytes(node) >= needed:
+            report = kernel.migrate(buffer.allocation, node)
+            buffer.target = tv.target
+            buffer.used_attribute = used_attr
+            buffer.requested_attribute = attribute
+            return report
+    raise CapacityError(
+        f"no target can absorb {buffer.name} for attribute {attribute!r}"
+    )

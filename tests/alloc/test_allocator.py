@@ -51,6 +51,22 @@ class TestBasicAllocation:
             xeon_allocator.mem_alloc(1 * GB, "Latency", 0, name="mine")
         xeon_allocator.free("mine")
 
+    def test_freed_handle_never_returns_as_another_buffer(self, xeon_allocator):
+        """A recycled allocation comes back under a new Buffer, so a stale
+        free of the old handle raises as a named double free does."""
+        first = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0)
+        xeon_allocator.free(first)
+        again = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0)
+        assert again.allocation is first.allocation   # the pool still engages
+        assert again is not first and again.name != first.name
+        with pytest.raises(AllocationError, match=f"unknown buffer {first.name!r}"):
+            xeon_allocator.free(first)
+        assert xeon_allocator.buffers == {again.name: again}
+        named = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name="x")
+        xeon_allocator.free(named)
+        with pytest.raises(AllocationError, match="unknown buffer 'x'"):
+            xeon_allocator.free(named)
+
     def test_invalid_size(self, xeon_allocator):
         with pytest.raises(AllocationError):
             xeon_allocator.mem_alloc(0, "Latency", 0)

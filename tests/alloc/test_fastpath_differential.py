@@ -1,16 +1,15 @@
 """The plan route never changes a placement — differential proof.
 
 Production allocation is one route: a plan per ``(attribute,
-initiator, scope)`` triple, memoized while the query cache is on, with a
-recycling pool in front of it.  ``legacy_oracle.py`` keeps the body that
-route replaced, which re-derives everything on every call.  For ~100
+initiator, scope)`` triple, memoized (at most 4,096 plans) and read by
+``rank_for`` and ``migrate`` too, with a recycling pool in front of it.
+``legacy_oracle.py`` keeps the body that route replaced, which
+re-derives everything on every call and reads no memo.  For ~100
 seeded random machines this suite replays one interleaved scenario on
-three twin stacks:
+two twin stacks:
 
 * ``memo``   — production, plan memo and pool engaged;
-* ``nomemo`` — production with ``memattrs.query_cache.enabled = False``,
-  so every request rebuilds its plan;
-* ``oracle`` — the legacy body (cache off as well).
+* ``oracle`` — the legacy body.
 
 The scenario mixes allocs (named, spill, strict, zero and negative
 sizes), frees, batches, migrate → free → re-alloc cycles, node
@@ -20,9 +19,8 @@ used attribute, fallback rank, primary target, the full page map of
 every allocation, raised error types (and messages for allocation
 errors), and the kernel's final free-page counters.
 
-Buffer *names* are deliberately excluded: the pool recycles Buffer
-objects (names and all) while the other routes mint fresh ones, and the
-name generators are process-global counters.  Names are handles, not
+Buffer *names* are deliberately excluded: the two routes mint them
+from different process-global counters.  Names are handles, not
 placement decisions.
 """
 
@@ -43,7 +41,7 @@ from tests.obs.test_differential import random_machine
 
 N_SEEDS = 100
 ATTRIBUTES = ("Capacity", "Bandwidth", "Latency")
-MODES = ("memo", "nomemo", "oracle")
+MODES = ("memo", "oracle")
 
 
 def _note(sig: list, tag: str, buf) -> None:
@@ -64,8 +62,8 @@ def _drain_cannot_split(kernel: KernelMemoryManager, node: int) -> bool:
     whatever order the drain visits allocations in.
 
     The drain walks live allocations by allocation id.  A recycled
-    buffer keeps its allocation record (and id) while the oracle mints a
-    fresh one, so when the drain has to split across destinations, which
+    allocation keeps its record (and id) while the oracle mints a fresh
+    one, so when the drain has to split across destinations, which
     buffer splits follows record age, not any placement decision.  It
     cannot split when the nearest online destination absorbs everything,
     or when nothing fits and the drain is refused.
@@ -88,23 +86,24 @@ def placement_signature(seed: int, *, mode: str, coverage: set | None = None) ->
     machine = random_machine(rng)
     topo = build_topology(machine)
     memattrs = native_discovery(topo) if machine.has_hmat else MemAttrs(topo)
-    memattrs.query_cache.enabled = mode == "memo"
     kernel = KernelMemoryManager(machine)
     allocator = HeterogeneousAllocator(memattrs, kernel)
     if mode == "oracle":
         mem_alloc = partial(legacy_oracle.mem_alloc, allocator)
         mem_alloc_many = partial(legacy_oracle.mem_alloc_many, allocator)
         free = partial(legacy_oracle.free, allocator)
+        migrate = partial(legacy_oracle.migrate, allocator)
     else:
         mem_alloc = allocator.mem_alloc
         mem_alloc_many = allocator.mem_alloc_many
         free = allocator.free
+        migrate = allocator.migrate
     seen = set() if coverage is None else coverage
     npus = machine.total_pus
     nodes = kernel.node_ids()
     sig: list = []
     live: list = []        # (buffer, (size, attribute, initiator, scope))
-    freed: list = []       # keeps freed buffers alive so id() stays unique
+    freed: list = []       # keeps freed allocations alive so id() stays unique
     freed_ids: set = set()
 
     # A small set of recurring request shapes: repeats are what warm the
@@ -125,15 +124,15 @@ def placement_signature(seed: int, *, mode: str, coverage: set | None = None) ->
     def placed(tag, buf, shape):
         _note(sig, tag, buf)
         live.append((buf, shape))
-        if id(buf) in freed_ids:
+        if id(buf.allocation) in freed_ids:
             seen.add("recycle")
         if buf.is_split:
             seen.add("spill")
 
     def release(buf):
         free(buf)
-        freed.append(buf)
-        freed_ids.add(id(buf))
+        freed.append(buf.allocation)
+        freed_ids.add(id(buf.allocation))
         sig.append(("free",))
 
     for step in range(rng.randint(30, 45)):
@@ -223,7 +222,7 @@ def placement_signature(seed: int, *, mode: str, coverage: set | None = None) ->
             i = rng.randrange(len(live))
             buf, shape = live[i]
             try:
-                report = allocator.migrate(buf, rng.choice(ATTRIBUTES))
+                report = migrate(buf, rng.choice(ATTRIBUTES))
             except ReproError as exc:
                 sig.append(("migrate-err", type(exc).__name__))
             else:
@@ -285,9 +284,9 @@ def placement_signature(seed: int, *, mode: str, coverage: set | None = None) ->
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_fast_and_legacy_paths_place_identically(seed):
-    oracle = placement_signature(seed, mode="oracle")
-    assert placement_signature(seed, mode="memo") == oracle
-    assert placement_signature(seed, mode="nomemo") == oracle
+    assert placement_signature(seed, mode="memo") == placement_signature(
+        seed, mode="oracle"
+    )
 
 
 def test_scenarios_cover_the_interesting_paths():
@@ -326,5 +325,5 @@ def test_fast_path_actually_engages():
     first = allocator.mem_alloc(8 * MiB, "Capacity", 0)
     allocator.free(first)
     again = allocator.mem_alloc(8 * MiB, "Capacity", 0)
-    assert again is first            # recycled object, not a lookalike
-    assert again._plan is not None   # placed by the memoized plan
+    assert again.allocation is first.allocation   # recycled record
+    assert again._plan is not None                # placed by the memoized plan

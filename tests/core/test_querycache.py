@@ -1,69 +1,104 @@
-"""Query-cache correctness: stale answers must never be served.
+"""Memoized query answers: stale answers must never be served.
 
-Covers the memoized attribute-query engine — generation-based
-invalidation on ``set_value``/``register``, hit/miss/invalidation
-accounting, deterministic initiator matching, one memo per answer, and
-the query surfaces (``rank_targets``, ``get_local_numanode_objs``,
-fallback chains, ``rank_for``) agreeing bit-for-bit with a cache-disabled
-twin.
+A request's answer (the attribute after fallback and its ranked
+targets) is memoized once, as the allocator's plan, which ``rank_for``
+and ``mem_alloc`` both read; topology facts (initiator cpusets, local
+NUMA nodes) are memoized on the immutable :class:`Topology`.  Covers
+generation-based invalidation on ``set_value``/``register``, the plan
+memo's bound and counters, deterministic initiator matching, and the
+query surfaces agreeing bit-for-bit with the memo-free oracle.
 """
 
 import pytest
 
 from repro.alloc import HeterogeneousAllocator, attribute_fallback_chain
-from repro.core import BANDWIDTH, MemAttrFlag, MemAttrs, QueryCache
-from repro.core.querycache import MISSING, TOPOLOGY_FAMILIES
+from repro.alloc import allocator as allocator_module
+from repro.core import BANDWIDTH, MemAttrFlag, MemAttrs
 from repro.core.ranking import rank_targets
 from repro.kernel import KernelMemoryManager
-from repro.topology import Bitmap
+from repro.topology import Bitmap, build_topology
+from repro.topology.traversal import (
+    LocalNumanodeFlags,
+    as_cpuset,
+    get_local_numanode_objs,
+)
+from tests.alloc import legacy_oracle
+
+
+def _signature(ranked):
+    return [(tv.target.os_index, tv.value) for tv in ranked]
 
 
 class TestQueryCacheStore:
-    def test_miss_then_hit(self):
-        cache = QueryCache()
-        assert cache.get("f", "k") is MISSING
-        cache.store("f", "k", 42)
-        assert cache.get("f", "k") == 42
-        stats = cache.stats()
+    """The plan memo as ``rank_for`` reads it, and the topology memos."""
+
+    def test_miss_then_hit(self, xeon_allocator):
+        used, ranked = xeon_allocator.rank_for("Latency", 0)
+        again = xeon_allocator.rank_for("Latency", 0)
+        assert again == (used, ranked)
+        assert again[1] is ranked   # served from the memo, not re-ranked
+        stats = xeon_allocator.cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-    def test_cached_none_is_a_hit(self):
-        """Negative answers (no matching initiator) are cacheable."""
-        cache = QueryCache()
-        cache.store("f", "k", None)
-        assert cache.get("f", "k") is None
-        assert cache.stats()["hits"] == 1
+    def test_cached_none_is_a_hit(self, xeon, monkeypatch):
+        """Falsy answers (an empty cpuset, no local node) are memoized
+        like any other: a repeat must not recompute them."""
+        topo = build_topology(xeon)
+        empty = as_cpuset(topo, ())
+        exact = get_local_numanode_objs(topo, 0, LocalNumanodeFlags.EXACT)
+        assert not empty and exact == ()
 
-    def test_custom_default_sentinel(self):
-        cache = QueryCache()
-        marker = object()
-        assert cache.get("f", "k", marker) is marker
+        def recompute(*args):
+            raise AssertionError("a memoized answer was recomputed")
 
-    def test_disabled_cache_never_serves(self):
-        cache = QueryCache(enabled=False)
-        cache.store("f", "k", 42)
-        assert cache.get("f", "k") is MISSING
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        monkeypatch.setattr(Bitmap, "__init__", recompute)
+        monkeypatch.setattr(type(topo), "numanodes", recompute)
+        assert as_cpuset(topo, ()) is empty
+        assert get_local_numanode_objs(topo, 0, LocalNumanodeFlags.EXACT) is exact
 
-    def test_invalidate_keeps_topology_families(self):
-        cache = QueryCache()
-        topo_family = next(iter(TOPOLOGY_FAMILIES))
-        cache.store(topo_family, "k", 1)
-        cache.store("alloc_rank", "k", 2)
-        cache.invalidate()
-        assert cache.get(topo_family, "k") == 1
-        assert cache.get("alloc_rank", "k") is MISSING
-        assert cache.invalidations == 1
+    def test_invalidate_keeps_topology_families(self, xeon_allocator):
+        """A generation bump drops nothing eagerly: the topology memos
+        stay, and a stale plan is rebuilt when next read."""
+        memattrs = xeon_allocator.memattrs
+        topo = memattrs.topology
+        _, first = xeon_allocator.rank_for("Bandwidth", 0)
+        cpusets, local_nodes = dict(topo._cpusets), dict(topo._local_nodes)
+        worst = first[-1].target
+        memattrs.set_value(BANDWIDTH, worst, 0, first[0].value * 10)
+        assert topo._cpusets == cpusets and topo._local_nodes == local_nodes
+        assert xeon_allocator._plans[("Bandwidth", 0, "local")].ranked is first
+        _, updated = xeon_allocator.rank_for("Bandwidth", 0)
+        assert updated[0].target is worst
+        assert xeon_allocator.cache_stats()["misses"] == 2
 
-    def test_fifo_eviction_bounds_entries(self):
-        cache = QueryCache(max_entries_per_family=2)
-        cache.store("f", "a", 1)
-        cache.store("f", "b", 2)
-        cache.store("f", "c", 3)
-        assert cache.get("f", "a") is MISSING   # oldest evicted
-        assert cache.get("f", "c") == 3
-        assert cache.evictions == 1
+    def test_fifo_eviction_bounds_entries(self, xeon_allocator, monkeypatch):
+        monkeypatch.setattr(allocator_module, "_PLANS_MAX", 2)
+        for attr in ("Bandwidth", "Latency", "Capacity"):
+            xeon_allocator.rank_for(attr, 0)
+        assert list(xeon_allocator._plans) == [
+            ("Latency", 0, "local"), ("Capacity", 0, "local")
+        ]   # oldest evicted
+        stats = xeon_allocator.cache_stats()
+        assert stats["entries"] == 2 and stats["evictions"] == 1
+
+    def test_spellings_leave_a_bounded_memo(self, xeon_allocator):
+        """512 spellings of one attribute on 64 PUs are 32,768 distinct
+        requests; the memo keeps at most 4,096 plans for them, and every
+        answer still equals the oracle's."""
+        word = "bandwidth"
+        spellings = [
+            "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(word))
+            for mask in range(1 << len(word))
+        ]
+        pus = [pu.os_index for pu in xeon_allocator.memattrs.topology.pus()][:64]
+        for spelling in spellings:
+            for pu in pus:
+                xeon_allocator.free(xeon_allocator.mem_alloc(4096, spelling, pu))
+                assert xeon_allocator.rank_for(spelling, pu) == legacy_oracle.rank_for(
+                    xeon_allocator, spelling, pu
+                )
+        assert len(xeon_allocator._plans) <= 4096
+        assert xeon_allocator.cache_stats()["evictions"] == 512 * 64 - 4096
 
 
 class TestGenerationInvalidation:
@@ -98,8 +133,8 @@ class TestGenerationInvalidation:
         xeon_attrs.register("Score", MemAttrFlag.HIGHER_FIRST)
         chain = attribute_fallback_chain(xeon_attrs, "Score")
         assert [a.name for a in chain] == ["Score", "Capacity"]
-        # Cached now; a later register bumps the generation so the key
-        # changes; re-resolution still yields a correct chain.
+        # A later register bumps the generation; re-resolution still
+        # yields a correct chain.
         assert attribute_fallback_chain(xeon_attrs, "Score") == chain
 
     def test_match_initiator_cache_invalidated(self, xeon_attrs, xeon_topo):
@@ -114,49 +149,64 @@ class TestGenerationInvalidation:
 
 class TestCounters:
     def test_rank_hit_miss_accounting(self, xeon_allocator):
-        xeon_attrs = xeon_allocator.memattrs
-        xeon_attrs.query_cache.clear()
         xeon_allocator.rank_for("Latency", 0)
-        misses = xeon_attrs.cache_stats()["families"]["alloc_rank"]["misses"]
-        assert misses == 1
+        fam = xeon_allocator.cache_stats()["families"]["alloc_rank"]
+        assert fam["misses"] == 1
         xeon_allocator.rank_for("Latency", 0)
-        fam = xeon_attrs.cache_stats()["families"]["alloc_rank"]
+        fam = xeon_allocator.cache_stats()["families"]["alloc_rank"]
         assert fam["hits"] == 1 and fam["misses"] == 1
         assert fam["entries"] == 1
 
     def test_one_memo_per_answer(self, xeon_allocator):
-        """Rankings, initiator matches and fallback chains are memoized
-        only as the allocator's ``alloc_rank`` answer."""
+        """``rank_for`` and ``mem_alloc`` read one plan per request;
+        rankings, initiator matches and fallback chains have no memo of
+        their own."""
         memattrs = xeon_allocator.memattrs
         node = memattrs.topology.numanode_by_os_index(0)
-        for attr in ("Bandwidth", "Latency", "Capacity", "ReadBandwidth"):
+        attrs = ("Bandwidth", "Latency", "Capacity", "ReadBandwidth")
+        for attr in attrs:
             for scope in ("local", "machine"):
                 xeon_allocator.rank_for(attr, 0, scope=scope)
             xeon_allocator.free(xeon_allocator.mem_alloc(1 << 20, attr, 0))
+            assert (
+                xeon_allocator._plans[(attr, 0, "local")].ranked
+                is xeon_allocator.rank_for(attr, 0)[1]
+            )
             if memattrs.has_values(attr):
                 memattrs.get_best_target(attr, 0)
                 rank_targets(memattrs, attr, 0, tie_attr="Capacity",
                              tie_tolerance=0.1)
             attribute_fallback_chain(memattrs, attr)
+        assert len(xeon_allocator._plans) == 2 * len(attrs)
         memattrs.set_value(BANDWIDTH, node, 0, 1e9)
         assert memattrs.get_value(BANDWIDTH, node, 0) == 1e9
         xeon_allocator.rank_for("Bandwidth", 0)
-        assert set(memattrs.cache_stats()["families"]) == {
-            "alloc_rank", "as_cpuset", "local_nodes", "initiator_pus"
+        assert set(xeon_allocator.cache_stats()["families"]) == {"alloc_rank"}
+
+    def test_invalidation_counter(self, xeon_allocator):
+        """Invalidation is the generation: each ``set_value`` bumps it
+        once, and a plan built before is rebuilt once."""
+        memattrs = xeon_allocator.memattrs
+        node = memattrs.topology.numanode_by_os_index(0)
+        xeon_allocator.rank_for("Bandwidth", 0)
+        before = xeon_allocator.cache_stats()["generation"]
+        memattrs.set_value(BANDWIDTH, node, 0, 1e9)
+        memattrs.set_value(BANDWIDTH, node, 1, 2e9)
+        assert xeon_allocator.cache_stats()["generation"] == before + 2
+        xeon_allocator.rank_for("Bandwidth", 0)
+        xeon_allocator.rank_for("Bandwidth", 0)
+        stats = xeon_allocator.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+
+    def test_cache_stats_shape(self, xeon_allocator):
+        stats = xeon_allocator.cache_stats()
+        assert set(stats) == {
+            "hits", "misses", "entries", "hit_rate", "evictions",
+            "generation", "families",
         }
-
-    def test_invalidation_counter(self, xeon_attrs, xeon_topo):
-        node = xeon_topo.numanode_by_os_index(0)
-        before = xeon_attrs.query_cache.invalidations
-        xeon_attrs.set_value(BANDWIDTH, node, 0, 1e9)
-        xeon_attrs.set_value(BANDWIDTH, node, 1, 2e9)
-        assert xeon_attrs.query_cache.invalidations == before + 2
-
-    def test_cache_stats_shape(self, xeon_attrs):
-        stats = xeon_attrs.cache_stats()
-        for key in ("hits", "misses", "hit_rate", "invalidations",
-                    "generation", "families", "enabled"):
-            assert key in stats
+        assert set(stats["families"]["alloc_rank"]) == {
+            "hits", "misses", "entries", "hit_rate"
+        }
 
 
 class TestDeterministicInitiatorMatch:
@@ -185,7 +235,7 @@ class TestDeterministicInitiatorMatch:
 
 
 class TestCachedEqualsUncached:
-    """Bit-identity of every cached surface against a cache-disabled twin."""
+    """Bit-identity of every memoized surface against the memo-free oracle."""
 
     @pytest.fixture()
     def twins(self, xeon, xeon_topo):
@@ -193,13 +243,9 @@ class TestCachedEqualsUncached:
 
         warm = native_discovery(xeon_topo)
         cold = native_discovery(xeon_topo)
-        cold.query_cache.enabled = False
         warm_alloc = HeterogeneousAllocator(warm, KernelMemoryManager(xeon))
         cold_alloc = HeterogeneousAllocator(cold, KernelMemoryManager(xeon))
         return warm_alloc, cold_alloc
-
-    def _signature(self, ranked):
-        return [(tv.target.os_index, tv.value) for tv in ranked]
 
     def test_rank_for_identical(self, twins):
         warm, cold = twins
@@ -208,9 +254,9 @@ class TestCachedEqualsUncached:
                 for scope in ("local", "machine"):
                     for _ in range(2):  # second pass = warm hit
                         wu, wr = warm.rank_for(attr, init, scope=scope)
-                        cu, cr = cold.rank_for(attr, init, scope=scope)
+                        cu, cr = legacy_oracle.rank_for(cold, attr, init, scope=scope)
                         assert wu == cu
-                        assert self._signature(wr) == self._signature(cr)
+                        assert _signature(wr) == _signature(cr)
 
     def test_composed_ranking_identical(self, twins):
         warm, cold = twins
@@ -223,14 +269,15 @@ class TestCachedEqualsUncached:
                 cold.memattrs, "Latency", 0,
                 tie_attr="Capacity", tie_tolerance=0.1,
             )
-            assert self._signature(w) == self._signature(c)
+            assert _signature(w) == _signature(c)
 
-    def test_local_nodes_identical(self, twins):
-        warm, cold = twins
+    def test_local_nodes_identical(self, twins, xeon):
+        """Memoized local nodes equal a fresh topology's first answer."""
+        warm, _ = twins
         for init in (0, 1, 40, Bitmap([0, 40])):
             for _ in range(2):
                 w = warm.memattrs.get_local_numanode_objs(init)
-                c = cold.memattrs.get_local_numanode_objs(init)
+                c = get_local_numanode_objs(build_topology(xeon), init)
                 assert [n.os_index for n in w] == [n.os_index for n in c]
 
     def test_allocation_sequence_identical(self, twins):
@@ -238,7 +285,9 @@ class TestCachedEqualsUncached:
         for i in range(20):
             attr = ("Bandwidth", "Latency", "Capacity")[i % 3]
             wb = warm.mem_alloc((i + 1) << 20, attr, i % 2, name=f"w{i}")
-            cb = cold.mem_alloc((i + 1) << 20, attr, i % 2, name=f"c{i}")
+            cb = legacy_oracle.mem_alloc(
+                cold, (i + 1) << 20, attr, i % 2, name=f"c{i}"
+            )
             assert wb.used_attribute == cb.used_attribute
             assert wb.fallback_rank == cb.fallback_rank
             assert wb.allocation.pages_by_node == cb.allocation.pages_by_node

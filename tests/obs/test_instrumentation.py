@@ -76,7 +76,7 @@ class TestAllocatorHooks:
         first = xeon_allocator.mem_alloc(64 * MiB, "Latency", 0)
         xeon_allocator.free(first)
         again = xeon_allocator.mem_alloc(64 * MiB, "Latency", 0)
-        assert again is first
+        assert again.allocation is first.allocation
         assert OBS.metrics.value("kernel.allocations") == 2
         assert OBS.metrics.value("kernel.pages_allocated") == 2 * (64 * MiB // 4096)
 
@@ -91,22 +91,18 @@ class TestAllocatorHooks:
 
 class TestCoreHooks:
     def test_querycache_hits_and_misses(self, xeon_allocator):
+        """A repeated query is a memo hit in ``cache_stats()`` (what the
+        benchmark's ``querycache.hit_ratio`` reads) and ranks once; the
+        memo keeps no metric series of its own."""
         obs.enable()
         xeon_allocator.rank_for("Latency", 0)
         xeon_allocator.rank_for("Latency", 0)
-        hits = sum(
-            i.value
-            for i in OBS.metrics.instruments()
-            if i.name == "querycache.hits"
-        )
-        misses = sum(
-            i.value
-            for i in OBS.metrics.instruments()
-            if i.name == "querycache.misses"
-        )
-        assert misses >= 1
-        assert hits >= 1
+        stats = xeon_allocator.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
         assert OBS.metrics.value("core.rankings_computed", attribute="Latency") == 1
+        assert not [
+            i for i in OBS.metrics.instruments() if i.name.startswith("querycache.")
+        ]
 
     def test_generation_bump_counted(self, xeon_attrs, xeon_topo):
         obs.enable()
@@ -114,7 +110,6 @@ class TestCoreHooks:
         node = xeon_topo.numanode_by_os_index(0)
         xeon_attrs.set_value("Bandwidth", node, 0, 123.0)
         assert OBS.metrics.value("core.generation_bumps") == before + 1
-        assert OBS.metrics.value("querycache.invalidations") >= 1
 
 
 class TestKernelHooks:

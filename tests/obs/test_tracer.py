@@ -187,6 +187,22 @@ class TestTraceCli:
     def test_summarize_handles_no_finished_spans(self):
         assert "no finished spans" in summarize([{"name": "open", "end": None}])
 
+    def test_chrome_of_an_archive_equals_the_live_export(self, tracer, tmp_path):
+        with tracer.span("outer", node=2):
+            with tracer.span("inner", pages=8):
+                pass
+        try:
+            with tracer.span("failed"):
+                raise ValueError("boom")
+        except ValueError:
+            pass
+        archive, chrome = tmp_path / "t.jsonl", tmp_path / "t.json"
+        archive.write_text(to_jsonl(tracer), encoding="utf-8")
+        assert trace_main([str(archive), "--chrome", str(chrome)]) == 0
+        converted = json.loads(chrome.read_text(encoding="utf-8"))
+        assert len(converted["traceEvents"]) == 3
+        assert converted == to_chrome_trace(tracer)
+
     def test_spans_to_chrome_skips_open_spans(self):
         doc = spans_to_chrome(
             [

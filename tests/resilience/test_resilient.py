@@ -98,6 +98,25 @@ class TestLogSince:
         assert log.since(len(log)) == ()
 
 
+class TestLogCounts:
+    def test_counts_equal_a_recount(self):
+        log = ResilienceLog()
+        kinds = [
+            EventKind.QUOTA_EXCEEDED, EventKind.PLACEMENT_DEGRADED,
+            EventKind.QUOTA_EXCEEDED, EventKind.MIGRATION_RETRY,
+            EventKind.PLACEMENT_DEGRADED, EventKind.QUOTA_EXCEEDED,
+        ]
+        for i, kind in enumerate(kinds):
+            log.record(kind, f"t/{i}")
+        recount: dict = {}
+        for event in log.events:
+            recount[event.kind] = recount.get(event.kind, 0) + 1
+        assert log.counts() == recount
+        assert list(log.counts()) == list(recount)   # first-event order
+        log.counts()[EventKind.QUOTA_EXCEEDED] = 0    # a copy, not the tally
+        assert log.counts() == recount
+
+
 class TestMigrationRetry:
     def test_transient_failures_retried_until_success(self, ralloc, xeon_setup):
         buf = ralloc.mem_alloc(1 * GB, "Bandwidth", 0, name="m")

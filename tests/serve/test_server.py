@@ -356,6 +356,49 @@ class TestVerbs:
         monkeypatch.setattr(ResilienceLog, "events", property(whole_log))
         assert replies() == expected
 
+    def test_stats_reads_no_event_list(self, allocator):
+        """``stats`` takes its event counts from the log's running tally,
+        so its cost does not grow with the daemon's uptime."""
+        core = ServeCore(allocator)
+        for kind in (EventKind.QUOTA_EXCEEDED, EventKind.ADMISSION_REJECTED,
+                     EventKind.QUOTA_EXCEEDED):
+            core.log.record(kind, "t")
+
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("stats walked the whole event log")
+
+        core.log._events = Unwalkable(core.log._events)
+        reply = core.apply(Request(verb="stats", tenant="t", id=0))
+        assert reply.ok
+        assert reply.result["events"] == {
+            "admission-rejected": 1, "quota-exceeded": 2
+        }
+
+    def test_spelling_loop_leaves_a_bounded_memo(self):
+        """One tenant cycling the 8,192 case spellings of an attribute
+        makes 8,192 distinct requests; the allocator keeps at most 4,096
+        plans for them."""
+        knl = quick_setup("knl-snc4-flat")
+        core = ServeCore(
+            HeterogeneousAllocator(knl.memattrs, KernelMemoryManager(knl.machine))
+        )
+
+        def apply(verb, **payload):
+            return core.apply(Request(verb=verb, tenant="t", id=0, payload=payload))
+
+        assert apply("open").ok
+        word = "readbandwidth"
+        for mask in range(1 << len(word)):
+            spelling = "".join(
+                c.upper() if mask >> i & 1 else c for i, c in enumerate(word)
+            )
+            placed = apply("alloc", handle="h", size=4096, attribute=spelling,
+                           initiator=(0, 64, 128, 192)[mask % 4])
+            assert placed.ok, placed
+            assert apply("free", handle="h").ok
+        assert len(core.allocator._plans) <= 4096
+
     def test_stats_reports_sessions_ledger_and_kernel(self, allocator):
         async def scenario():
             async with ReproServeServer(allocator) as server:
