@@ -304,9 +304,15 @@ class HeterogeneousAllocator:
         """
         if size <= 0:
             raise AllocationError("allocation size must be positive")
-        bufname = name or f"buf{next(_buffer_ids)}"
-        if bufname in self.buffers:
-            raise AllocationError(f"buffer name {bufname!r} already in use")
+        if name:
+            if name in self.buffers:
+                raise AllocationError(f"buffer name {name!r} already in use")
+            bufname = name
+        else:
+            # A minted name skips any the caller already took.
+            bufname = f"buf{next(_buffer_ids)}"
+            while bufname in self.buffers:
+                bufname = f"buf{next(_buffer_ids)}"
         try:
             plan = self._plans.get((attribute, initiator, scope))
         except TypeError:      # unhashable initiator: never memoized
@@ -574,8 +580,8 @@ class HeterogeneousAllocator:
                         return
                     if got is not None:
                         # A different live buffer owns this name (the
-                        # caller's handle is stale): restore and let the
-                        # kernel route raise its canonical error.
+                        # caller's handle is stale): restore it and let
+                        # _resolve_buffer raise its canonical error.
                         self.buffers[buffer.name] = got
         buffer = self._resolve_buffer(buffer)
         self.kernel.free(buffer.allocation)
@@ -628,11 +634,16 @@ class HeterogeneousAllocator:
         )
 
     def _resolve_buffer(self, buffer: Buffer | str) -> Buffer:
+        """The live buffer a handle or name refers to.
+
+        A :class:`Buffer` resolves only to itself: a stale handle whose
+        name now belongs to another buffer is unknown, never that buffer.
+        """
         if isinstance(buffer, Buffer):
-            key = buffer.name
-        else:
-            key = buffer
+            if self.buffers.get(buffer.name) is buffer:
+                return buffer
+            raise AllocationError(f"unknown buffer {buffer.name!r}")
         try:
-            return self.buffers[key]
+            return self.buffers[buffer]
         except KeyError:
-            raise AllocationError(f"unknown buffer {key!r}") from None
+            raise AllocationError(f"unknown buffer {buffer!r}") from None

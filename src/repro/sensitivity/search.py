@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from ..errors import ReproError
 from ..obs import OBS
-from ..sim.access import KernelPhase, Placement
+from ..sim.access import KernelPhase
 from ..sim.engine import SimEngine
 
 __all__ = [
@@ -287,6 +287,9 @@ class _SearchSpace:
         # differing in other buffers reuse the exact same pricing.
         self.memo: dict[tuple, float] = {}
         self.pricings = 0
+        # A leaf puts each buffer wholly on one node: one shared split per
+        # node, which the engine only reads.
+        self.one_node = {n: {n: 1.0} for n in candidate_nodes + (default_node,)}
 
     def price_combo(self, combo) -> float:
         """Price one complete assignment: ``combo[i]`` is the node of
@@ -298,15 +301,10 @@ class _SearchSpace:
             key = (idx, slice_of(combo))
             cached = memo.get(key)
             if cached is None:
-                placement = Placement(
-                    {
-                        b: {node: 1.0}
-                        for b, node in zip(self.phase_buffers[idx], key[1])
-                    }
+                one_node = self.one_node
+                cached = self.engine.price_seconds(
+                    self.prepared[idx], [one_node[node] for node in key[1]]
                 )
-                cached = self.engine.price_prepared(
-                    self.prepared[idx], placement
-                ).seconds
                 memo[key] = cached
                 self.pricings += 1
             seconds += cached
@@ -601,10 +599,11 @@ def _search_placements_impl(
         pus,
     )
     entries, raw = space.run(top_k=top_k, budget=max_candidates, prune=prune)
+    # One (buffer, node) pair per critical buffer and node, shared by every
+    # candidate that makes that choice: results held by callers stay small.
+    pairs = [{node: (buffer, node) for node in candidate_nodes} for buffer in critical]
     candidates = tuple(
-        PlacementCandidate(
-            assignment=tuple(zip(critical, cmb)), seconds=sec
-        )
+        PlacementCandidate(assignment=tuple(map(getitem, pairs, cmb)), seconds=sec)
         for sec, cmb in entries
     )
     stats = SearchStats(

@@ -131,8 +131,7 @@ def _validate_split(buffer: str, split: dict[int, float]) -> None:
             f"buffer {buffer!r}: placement fractions sum to {total}, not 1"
         )
     # A one-node split that passed the sum check is positive: only
-    # multi-node splits need the scan, which keeps placement search
-    # (one-node splits, a Placement per memo miss) off it.
+    # multi-node splits need the scan.
     if len(split) > 1 and min(split.values()) < 0.0:
         node, frac = min(split.items(), key=lambda item: item[1])
         raise SimulationError(

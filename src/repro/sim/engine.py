@@ -4,11 +4,13 @@
 roofline-style model described in the package docstring.  Everything the
 profiler later needs — per-node traffic and stall attribution, per-buffer
 miss counts and latency shares — is preserved in the returned
-:class:`PhaseTiming`.
+:class:`PhaseTiming`; :meth:`SimEngine.price_seconds` returns the seconds
+alone, from the same pricing core.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -111,7 +113,7 @@ class PreparedPhase:
     depend on the buffer placement — the cache model for the executing
     PUs, the cache-filtered traffic per access, the CPU term — so a
     search pricing the same phase under thousands of placements pays for
-    it once (:meth:`SimEngine.price_prepared` per placement).
+    it once (:meth:`SimEngine.price_seconds` per leaf).
     """
 
     phase: KernelPhase
@@ -190,93 +192,135 @@ class SimEngine:
         if OBS.enabled:
             OBS.metrics.counter("sim.pricings").inc()
         phase = prepared.phase
-        pus = prepared.pus
-        threads = phase.threads
         splits = [placement.of(access.buffer) for access, _ in prepared.filtered]
-
-        node_traffic: dict[int, NodeTraffic] = {}
-        buffer_timings: dict[str, BufferTiming] = {}
-
-        # Working set landing on each node (for write-buffer / TLB terms).
-        node_ws: dict[int, float] = {}
-        node_write_ws: dict[int, float] = {}
-        for (access, _), split in zip(prepared.filtered, splits):
-            ws = access.working_set
-            written = access.bytes_written > 0
-            for node, frac in split.items():
-                node_ws[node] = node_ws.get(node, 0.0) + ws * frac
-                if written:
-                    node_write_ws[node] = node_write_ws.get(node, 0.0) + ws * frac
-
-        # The loaded latency of a node is fixed for the whole phase (it
-        # depends on the node's total working set, not on which access is
-        # paying it), so resolve it at most once per node.
-        lat_memo: dict[int, float] = {}
-
-        for (access, filtered), split in zip(prepared.filtered, splits):
-            pattern = access.pattern
-            bt = BufferTiming(
+        seconds, latency_seconds, bandwidth_seconds, node_sums, access_latency = (
+            self._price_splits(prepared, splits)
+        )
+        node_traffic = {
+            node: NodeTraffic(node, read, write, random, bw, stall)
+            for node, (read, write, random, stall, bw, _, _) in node_sums.items()
+        }
+        buffer_timings = {
+            access.buffer: BufferTiming(
                 buffer=access.buffer,
-                pattern=pattern,
+                pattern=access.pattern,
                 miss_count=filtered.miss_count,
+                latency_seconds=latency,
                 traffic_bytes=filtered.memory_read_bytes + filtered.memory_write_bytes,
+                nodes=dict(split),
                 llc_hit_fraction=filtered.hit_fraction,
             )
-            latency_bound = pattern.is_latency_bound
-            if latency_bound:
-                cpu_mlp = pattern.cpu_mlp
-            for node, frac in split.items():
-                bt.nodes[node] = frac
-                nt = node_traffic.get(node)
-                if nt is None:
-                    nt = node_traffic[node] = NodeTraffic(node=node)
-                if latency_bound:
-                    nt.random_bytes += bt.traffic_bytes * frac
-                    lat = lat_memo.get(node)
-                    if lat is None:
-                        lat = self._node_latency(node, pus, node_ws[node])
-                        lat_memo[node] = lat
-                    mlp = threads * min(cpu_mlp, self._nodes[node].tech.max_mlp)
-                    lat_time = filtered.miss_count * frac * lat / mlp
-                    bt.latency_seconds += lat_time
-                    nt.stall_seconds += lat_time
-                else:
-                    nt.stream_read_bytes += filtered.memory_read_bytes * frac
-                    nt.stream_write_bytes += filtered.memory_write_bytes * frac
-            buffer_timings[access.buffer] = bt
-
-        # Per-node bandwidth time.
-        for node, nt in node_traffic.items():
-            _, rbw, wbw = self._node_bandwidths(
-                node, pus, node_ws[node], node_write_ws.get(node, 0.0), threads
+            for (access, filtered), split, latency in zip(
+                prepared.filtered, splits, access_latency
             )
-            inst = self._nodes[node]
-            random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction
-            nt.bw_seconds = (
-                nt.stream_read_bytes / rbw
-                + nt.stream_write_bytes / wbw
-                + nt.random_bytes / random_bw
-            )
-
-        cpu_seconds = prepared.cpu_seconds
-        latency_seconds = sum(bt.latency_seconds for bt in buffer_timings.values())
-        bandwidth_seconds = max(
-            (nt.bw_seconds for nt in node_traffic.values()), default=0.0
-        )
-        seconds = max(bandwidth_seconds, latency_seconds + cpu_seconds)
-        if seconds <= 0:
-            raise SimulationError(f"phase {phase.name!r} priced to zero time")
-
+        }
         return PhaseTiming(
             name=phase.name,
-            threads=threads,
+            threads=phase.threads,
             seconds=seconds,
-            cpu_seconds=cpu_seconds,
+            cpu_seconds=prepared.cpu_seconds,
             latency_seconds=latency_seconds,
             bandwidth_seconds=bandwidth_seconds,
             node_traffic=node_traffic,
             buffer_timings=buffer_timings,
         )
+
+    def price_seconds(
+        self, prepared: PreparedPhase, splits: Sequence[dict[int, float]]
+    ) -> float:
+        """Seconds of ``prepared`` with access ``i`` split as ``splits[i]``.
+
+        ``splits[i]`` is ``{node: fraction}`` for the ``i``-th access of
+        the phase, in phase order.  The splits are read as given, not
+        validated: build them from a :class:`Placement` (whose
+        construction checks them) or as one-node ``{node: 1.0}`` dicts.
+        Equals ``price_prepared(...).seconds`` for the same splits, bit
+        for bit, without building the :class:`PhaseTiming`; the placement
+        search prices its leaves this way.
+        """
+        if OBS.enabled:
+            OBS.metrics.counter("sim.pricings").inc()
+        return self._price_splits(prepared, splits)[0]
+
+    def _price_splits(
+        self, prepared: PreparedPhase, splits: Sequence[dict[int, float]]
+    ) -> tuple[float, float, float, dict[int, list[float]], list[float]]:
+        """The pricing core both entries share.
+
+        Returns ``(seconds, latency_seconds, bandwidth_seconds, node_sums,
+        access_latency)``.  ``node_sums`` maps each node the splits use,
+        in first-use order, to its ``[stream_read_bytes,
+        stream_write_bytes, random_bytes, stall_seconds, bw_seconds,
+        working_set, written_working_set]``; ``access_latency[i]`` is
+        access ``i``'s latency-chain seconds.
+        """
+        pus = prepared.pus
+        threads = prepared.phase.threads
+        node_sums: dict[int, list[float]] = {}
+        chained: list[int] = []   # latency-bound accesses, in phase order
+        for index, ((access, filtered), split) in enumerate(
+            zip(prepared.filtered, splits, strict=True)
+        ):
+            ws = access.working_set
+            written = access.bytes_written > 0
+            latency_bound = access.pattern.is_latency_bound
+            if latency_bound:
+                chained.append(index)
+                traffic = filtered.memory_read_bytes + filtered.memory_write_bytes
+            else:
+                read = filtered.memory_read_bytes
+                write = filtered.memory_write_bytes
+            for node, frac in split.items():
+                sums = node_sums.get(node)
+                if sums is None:
+                    sums = node_sums[node] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+                if latency_bound:
+                    sums[2] += traffic * frac
+                else:
+                    sums[0] += read * frac
+                    sums[1] += write * frac
+                # Working set landing on the node (write-buffer / TLB terms).
+                sums[5] += ws * frac
+                if written:
+                    sums[6] += ws * frac
+
+        # Latency chains, once every node's working set is known.  A
+        # node's loaded latency depends on that total, not on which access
+        # pays it, so it is resolved at most once per node.
+        access_latency = [0.0] * len(splits)
+        lat_memo: dict[int, float] = {}
+        for index in chained:
+            access, filtered = prepared.filtered[index]
+            misses = filtered.miss_count
+            cpu_mlp = access.pattern.cpu_mlp
+            latency = 0.0
+            for node, frac in splits[index].items():
+                sums = node_sums[node]
+                lat = lat_memo.get(node)
+                if lat is None:
+                    lat = lat_memo[node] = self._node_latency(node, pus, sums[5])
+                mlp = threads * min(cpu_mlp, self._nodes[node].tech.max_mlp)
+                lat_time = misses * frac * lat / mlp
+                latency += lat_time
+                sums[3] += lat_time
+            access_latency[index] = latency
+
+        # Per-node bandwidth time; the phase waits on the slowest node.
+        bandwidth_seconds = 0.0
+        for node, sums in node_sums.items():
+            _, rbw, wbw = self._node_bandwidths(node, pus, sums[5], sums[6], threads)
+            random_bw = min(rbw, wbw) * self._nodes[node].tech.random_bandwidth_fraction
+            bw = sums[4] = sums[0] / rbw + sums[1] / wbw + sums[2] / random_bw
+            if bw > bandwidth_seconds:
+                bandwidth_seconds = bw
+
+        latency_seconds = sum(access_latency)
+        seconds = max(bandwidth_seconds, latency_seconds + prepared.cpu_seconds)
+        if seconds <= 0:
+            raise SimulationError(
+                f"phase {prepared.phase.name!r} priced to zero time"
+            )
+        return seconds, latency_seconds, bandwidth_seconds, node_sums, access_latency
 
     def _price_access_alone(
         self, prepared: PreparedPhase, index: int, node: int
@@ -391,9 +435,13 @@ class SimEngine:
     ) -> float:
         inst = self._instance(node)
         base_lat, base_rbw, base_wbw = self._blended_performance(inst, pus)
-        lat = inst.tech.effective_latency(int(working_set)) * (
-            base_lat / inst.tech.loaded_latency
+        tech = inst.spec.tech
+        lat = tech.effective_latency(int(working_set)) * (
+            base_lat / tech.loaded_latency
         )
+        if inst.spec.memside_cache is None:
+            # memside_filter passes a cache-less node's figures through.
+            return lat
         effect = memside_filter(
             inst,
             int(working_set),
@@ -415,8 +463,13 @@ class SimEngine:
         base_lat, base_rbw, base_wbw = self._blended_performance(inst, pus)
         # Write-buffer collapse (NVDIMM) applies to the locality-adjusted
         # write bandwidth proportionally.
-        eff_w = inst.tech.effective_write_bandwidth(int(write_working_set))
-        base_wbw = base_wbw * (eff_w / inst.tech.peak_write_bandwidth)
+        tech = inst.spec.tech
+        eff_w = tech.effective_write_bandwidth(int(write_working_set))
+        base_wbw = base_wbw * (eff_w / tech.peak_write_bandwidth)
+        scale = min(1.0, threads / tech.saturation_threads)
+        if inst.spec.memside_cache is None:
+            # memside_filter passes a cache-less node's figures through.
+            return base_lat, base_rbw * scale, base_wbw * scale
         effect = memside_filter(
             inst,
             int(working_set),
@@ -424,7 +477,6 @@ class SimEngine:
             base_read_bw=base_rbw,
             base_write_bw=base_wbw,
         )
-        scale = min(1.0, threads / inst.tech.saturation_threads)
         return (
             effect.latency,
             effect.read_bandwidth * scale,

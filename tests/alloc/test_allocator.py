@@ -67,6 +67,29 @@ class TestBasicAllocation:
         with pytest.raises(AllocationError, match="unknown buffer 'x'"):
             xeon_allocator.free(named)
 
+    def test_stale_named_handle_frees_nothing(self, xeon_allocator):
+        """A freed named handle stays dead once its name is reused: freeing
+        it raises and leaves the name's new owner live and in place."""
+        stale = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name="x")
+        xeon_allocator.free(stale)
+        owner = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name="x")
+        with pytest.raises(AllocationError, match="unknown buffer 'x'"):
+            xeon_allocator.free(stale)
+        assert xeon_allocator.buffers == {"x": owner}
+        assert not owner.allocation.freed
+        assert owner.allocation.pages_by_node == {0: 256}
+
+    def test_minted_name_skips_a_caller_name(self, xeon_allocator):
+        """An unnamed request never fails on a name the caller took."""
+        first = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0)
+        taken = f"buf{int(first.name.removeprefix('buf')) + 1}"
+        named = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name=taken)
+        again = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0)
+        assert again.name not in (first.name, taken)
+        assert xeon_allocator.buffers == {
+            first.name: first, taken: named, again.name: again
+        }
+
     def test_invalid_size(self, xeon_allocator):
         with pytest.raises(AllocationError):
             xeon_allocator.mem_alloc(0, "Latency", 0)
@@ -174,6 +197,18 @@ class TestMigrate:
     def test_migrate_unknown_buffer(self, knl_allocator):
         with pytest.raises(AllocationError):
             knl_allocator.migrate("ghost", "Latency")
+
+    def test_stale_named_handle_migrates_nothing(self, xeon_allocator):
+        """A freed named handle cannot move the buffer that took its name."""
+        stale = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name="x")
+        xeon_allocator.free(stale)
+        owner = xeon_allocator.mem_alloc(1 << 20, "Bandwidth", 0, name="x")
+        with pytest.raises(AllocationError, match="unknown buffer 'x'"):
+            xeon_allocator.migrate(stale, "Capacity")
+        assert xeon_allocator.buffers == {"x": owner}
+        assert owner.allocation.pages_by_node == {0: 256}
+        assert owner.target.os_index == 0
+        assert owner.requested_attribute == "Bandwidth"
 
     def test_migrated_buffer_leaves_its_plan(self, xeon_allocator):
         """Bandwidth and Latency both pick DRAM node 0 on the Xeon, so the

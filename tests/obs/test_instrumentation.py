@@ -191,7 +191,9 @@ class TestSimAndSearchHooks:
             OBS.metrics.value("search.leaves_priced")
             == result.stats.leaves_priced
         )
-        assert OBS.metrics.value("sim.pricings") > 0
+        # Leaves count through the seconds-only entry, one per memo miss.
+        assert result.stats.slice_pricings > 0
+        assert OBS.metrics.value("sim.pricings") == result.stats.slice_pricings
         (span,) = [r for r in OBS.tracer.finished() if r.name == "search.placements"]
         assert span.fields["leaves_priced"] == result.stats.leaves_priced
         assert span.fields["best_seconds"] == result.candidates[0].seconds

@@ -49,6 +49,20 @@ class TestSearch:
         ).best
         assert best.as_dict()["parent"] == 0
 
+    def test_candidates_share_their_pairs(self, xeon_engine, g500_setup):
+        """One (buffer, node) pair per choice and search: candidates that
+        put a buffer on the same node hold the same pair object."""
+        phases, sizes = g500_setup
+        results = search_placements(
+            xeon_engine, phases, sizes, (0, 2),
+            default_node=0, pus=XEON_PUS,
+        ).candidates
+        first_seen = {}
+        for candidate in results:
+            for pair in candidate.assignment:
+                assert first_seen.setdefault(pair, pair) is pair
+        assert len(first_seen) == 4 * 2
+
     def test_pruning_reduces_space(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         results = search_placements(

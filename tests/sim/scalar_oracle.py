@@ -4,20 +4,23 @@
 production one stopped building a throwaway ``NodeTraffic`` per (access,
 node), read pattern traits once per access and looked ``cpu_mlp`` up in
 a module table.  Differential tests compare every :class:`PhaseTiming`
-field of the production pricer against it.
+field of the production pricer against it, and the seconds-only entry
+(``SimEngine.price_seconds``) against its ``seconds``.
 
 :func:`price_access_alone` is the single-access pricing the placement
 search's bound tables read; ``SimEngine._price_access_alone`` must equal
 it cell by cell.
 
-The node-resolution helpers (``_node_latency``, ``_node_bandwidths``)
-are the engine's own.
+Both resolve nodes through frozen copies of the engine's node helpers,
+which send every node through ``memside_filter``; the engine skips the
+filter for nodes without a memory-side cache, where it passes its
+inputs through.  The locality blend is the engine's own.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.sim import PatternKind
+from repro.sim import PatternKind, memside_filter
 from repro.sim.engine import BufferTiming, NodeTraffic, PhaseTiming
 
 
@@ -28,6 +31,44 @@ def _cpu_mlp(pattern: PatternKind) -> float:
         PatternKind.RANDOM: 8.0,
         PatternKind.POINTER_CHASE: 1.0,
     }[pattern]
+
+
+def _node_latency(engine, node, pus, working_set) -> float:
+    """``engine._node_latency``, frozen."""
+    inst = engine._instance(node)
+    base_lat, base_rbw, base_wbw = engine._blended_performance(inst, pus)
+    lat = inst.tech.effective_latency(int(working_set)) * (
+        base_lat / inst.tech.loaded_latency
+    )
+    effect = memside_filter(
+        inst,
+        int(working_set),
+        base_latency=lat,
+        base_read_bw=base_rbw,
+        base_write_bw=base_wbw,
+    )
+    return effect.latency
+
+
+def _node_bandwidths(engine, node, pus, working_set, write_working_set, threads):
+    """``engine._node_bandwidths``, frozen."""
+    inst = engine._instance(node)
+    base_lat, base_rbw, base_wbw = engine._blended_performance(inst, pus)
+    eff_w = inst.tech.effective_write_bandwidth(int(write_working_set))
+    base_wbw = base_wbw * (eff_w / inst.tech.peak_write_bandwidth)
+    effect = memside_filter(
+        inst,
+        int(working_set),
+        base_latency=base_lat,
+        base_read_bw=base_rbw,
+        base_write_bw=base_wbw,
+    )
+    scale = min(1.0, threads / inst.tech.saturation_threads)
+    return (
+        effect.latency,
+        effect.read_bandwidth * scale,
+        effect.write_bandwidth * scale,
+    )
 
 
 def price_prepared(engine, prepared, placement) -> PhaseTiming:
@@ -66,7 +107,7 @@ def price_prepared(engine, prepared, placement) -> PhaseTiming:
                 nt.random_bytes += bt.traffic_bytes * frac
                 lat = lat_memo.get(node)
                 if lat is None:
-                    lat = engine._node_latency(node, pus, node_ws.get(node, 0.0))
+                    lat = _node_latency(engine, node, pus, node_ws.get(node, 0.0))
                     lat_memo[node] = lat
                 inst = engine._nodes[node]
                 mlp = threads * min(_cpu_mlp(access.pattern), inst.tech.max_mlp)
@@ -79,9 +120,9 @@ def price_prepared(engine, prepared, placement) -> PhaseTiming:
         buffer_timings[access.buffer] = bt
 
     for node, nt in node_traffic.items():
-        lat, rbw, wbw = engine._node_bandwidths(
-            node, pus, node_ws.get(node, 0.0), node_write_ws.get(node, 0.0),
-            threads,
+        lat, rbw, wbw = _node_bandwidths(
+            engine, node, pus, node_ws.get(node, 0.0),
+            node_write_ws.get(node, 0.0), threads,
         )
         inst = engine._nodes[node]
         random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction
@@ -126,7 +167,7 @@ def price_access_alone(engine, prepared, index, node) -> tuple[float, float]:
     inst = engine._instance(node)
     lat_seconds = 0.0
     if access.pattern.is_latency_bound:
-        lat = engine._node_latency(node, pus, ws)
+        lat = _node_latency(engine, node, pus, ws)
         mlp = threads * min(access.pattern.cpu_mlp, inst.tech.max_mlp)
         lat_seconds = filtered.miss_count * lat / mlp
         random_bytes = filtered.memory_read_bytes + filtered.memory_write_bytes
@@ -135,7 +176,7 @@ def price_access_alone(engine, prepared, index, node) -> tuple[float, float]:
         random_bytes = 0.0
         stream_read = filtered.memory_read_bytes
         stream_write = filtered.memory_write_bytes
-    _, rbw, wbw = engine._node_bandwidths(node, pus, ws, write_ws, threads)
+    _, rbw, wbw = _node_bandwidths(engine, node, pus, ws, write_ws, threads)
     random_bw = min(rbw, wbw) * inst.tech.random_bandwidth_fraction
     bw_seconds = (
         stream_read / rbw + stream_write / wbw + random_bytes / random_bw

@@ -4,9 +4,11 @@
 ``tests/sim/scalar_oracle.py`` exactly: every float bit for bit, and
 every ``node_traffic``/``buffer_timings`` entry (``nodes`` dicts
 included) in the same key order, over random phases whose buffers sit on
-one node or split over two or three nodes in arbitrary order.  The four
-§VI presets cover NVDIMM write buffers, latency knees and both
-memory-side caches (Xeon 2LM, KNL Cache mode).
+one node or split over two or three nodes in arbitrary order.
+:meth:`SimEngine.price_seconds`, the core's other entry, must give the
+frozen body's ``seconds`` bit for bit on the same cases.  The four §VI
+presets cover NVDIMM write buffers, latency knees and both memory-side
+caches (Xeon 2LM, KNL Cache mode).
 """
 
 import dataclasses
@@ -97,8 +99,8 @@ def _random_split(rng: random.Random, axis) -> dict[int, float]:
     return {nodes[0]: first, nodes[1]: second, nodes[2]: 1.0 - first - second}
 
 
-@pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_price_prepared_equals_frozen_body(engine, seed):
+def _cases(engine, seed):
+    """``(prepared, placement)``: one random phase under six placements."""
     rng = random.Random(seed)
     axis = sorted(engine._nodes)
     n_pus = len(tuple(engine.topology.complete_cpuset))
@@ -108,6 +110,21 @@ def test_price_prepared_equals_frozen_body(engine, seed):
         placement = Placement(
             {a.buffer: _random_split(rng, axis) for a in phase.accesses}
         )
+        yield prepared, placement
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_price_prepared_equals_frozen_body(engine, seed):
+    for prepared, placement in _cases(engine, seed):
         got = engine.price_prepared(prepared, placement)
         want = scalar_oracle.price_prepared(engine, prepared, placement)
         assert _exact(got) == _exact(want)
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_price_seconds_equals_frozen_body(engine, seed):
+    for prepared, placement in _cases(engine, seed):
+        splits = [placement.of(a.buffer) for a in prepared.phase.accesses]
+        got = engine.price_seconds(prepared, splits)
+        want = scalar_oracle.price_prepared(engine, prepared, placement)
+        assert got.hex() == want.seconds.hex()
